@@ -109,23 +109,6 @@ impl MultiScheduler {
         &self.config
     }
 
-    /// Dismantles the multiplexer into its parts — `(spec, classes,
-    /// schedulers, config)`, schedulers in [`TenantId`] order — the split
-    /// accessor the sharded runtime uses to hand each class scheduler to
-    /// its own planner thread. [`with_schedulers`](Self::with_schedulers)
-    /// is the inverse: reassembling the same parts yields a scheduler
-    /// bit-identical to the original (caches ride along untouched).
-    pub fn into_parts(
-        self,
-    ) -> (
-        SpecHandle,
-        Vec<SlaClass>,
-        Vec<OnlineScheduler>,
-        OnlineConfig,
-    ) {
-        (self.spec, self.classes, self.schedulers, self.config)
-    }
-
     /// The configured SLA classes, indexed by [`TenantId`].
     pub fn classes(&self) -> &[SlaClass] {
         &self.classes
@@ -148,6 +131,13 @@ impl MultiScheduler {
         self.schedulers
             .get(class.index())
             .ok_or(CoreError::UnknownTenantClass { class })
+    }
+
+    /// Every class's scheduler, indexed by [`TenantId`] — disjoint
+    /// mutable borrows, so a multi-class tick can plan its classes on
+    /// parallel threads.
+    pub fn schedulers_mut(&mut self) -> &mut [OnlineScheduler] {
+        &mut self.schedulers
     }
 
     /// Plans one batch of class `class` against the shared cluster view.
@@ -339,38 +329,6 @@ mod tests {
                 .unwrap();
             assert_eq!(a.steps, b.steps);
         }
-    }
-
-    #[test]
-    fn into_parts_round_trips_through_with_schedulers() {
-        let spec = spec();
-        let class_set = classes(&spec);
-        let mut multi = MultiScheduler::train(spec, class_set, tiny()).unwrap();
-        let view = ClusterView::default();
-        let batch = [PendingArrival {
-            id: QueryId(0),
-            template: TemplateId(0),
-            arrival: Millis::ZERO,
-        }];
-        let before = multi
-            .plan_arrivals(TenantId(0), &view, &batch, Millis::ZERO)
-            .unwrap();
-
-        // Split, reassemble, and replan: the round trip preserves the
-        // schedulers (including their caches) bit for bit.
-        let (spec_handle, class_set, schedulers, config) = multi.into_parts();
-        let mut rebuilt =
-            MultiScheduler::with_schedulers(class_set, schedulers, config.clone()).unwrap();
-        assert!(rebuilt.spec_handle().ptr_eq(&spec_handle));
-        assert_eq!(rebuilt.config().reuse, config.reuse);
-        let after = rebuilt
-            .plan_arrivals(TenantId(0), &view, &batch, Millis::ZERO)
-            .unwrap();
-        assert_eq!(before.steps, after.steps);
-        assert!(
-            !after.retrained,
-            "the trained base model survived the round trip"
-        );
     }
 
     #[test]

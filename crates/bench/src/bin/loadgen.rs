@@ -22,9 +22,10 @@
 //!   classic sequential replay, and only that mode runs the SLO gate and
 //!   the per-verdict determinism asserts — concurrency reorders
 //!   admission, so only the aggregate counts stay exact.
-//! * `--shards N` / `WISEDB_SERVE_SHARDS` — run the server's scheduler
-//!   with `N` shards (concurrent mode only; `1` keeps the classic
-//!   single-threaded scheduler).
+//! * `--shards N` / `WISEDB_SERVE_SHARDS` — open the served service with
+//!   `RuntimeConfig::shards` set to `N` shards, so a wakeup's multi-class
+//!   tick plans on up to `N` threads (implies concurrent mode; `1`, the
+//!   default, plans every tick on the scheduler thread).
 //! * `--trace <path>` — record the replay with full `wisedb-obs` spans,
 //!   write a Chrome trace-event JSON to `path`, validate it by parsing
 //!   it back (see `wisedb_bench::trace_check`), and require the serve
@@ -132,7 +133,7 @@ fn main() {
         "loadgen: training the serve scenario service ({} requests)...",
         serve_load::requests(scale)
     );
-    let service = serve_load::build_service(scale);
+    let service = serve_load::build_service(scale, shards);
     // The collector installs after training: a `--trace` artifact covers
     // the serve replay itself, not model construction.
     let tracing = wisedb_bench::trace_collector_from_args();
@@ -142,7 +143,7 @@ fn main() {
              ({shards} scheduler shard{})...",
             if shards == 1 { "" } else { "s" }
         );
-        serve_load::run_concurrent(service, scale, clients, shards)
+        serve_load::run_concurrent(service, scale, clients)
     } else {
         eprintln!("loadgen: replaying the trace over loopback TCP...");
         serve_load::run(service, scale)

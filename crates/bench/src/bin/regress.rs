@@ -402,7 +402,7 @@ fn multitenant_loop(scale: Scale, out: &mut Vec<Measurement>) {
 }
 
 /// The sharded-scheduler loop: a 3-class trace replayed through a 2-shard
-/// [`wisedb_runtime::ShardedService`] under an *eager* rebalance
+/// [`wisedb_runtime::WorkloadService`] under an *eager* rebalance
 /// configuration (deterministic batch-size load signal, tight skew
 /// threshold), then through a 1-shard service for the identity check.
 /// Everything here is virtual-clocked and merge-ordered, so the decision,
@@ -430,7 +430,6 @@ fn shard_loop(scale: Scale, out: &mut Vec<Measurement>) {
         rebalance_every: 4,
         skew_threshold: 1.05,
         signal: LoadSignal::BatchSize,
-        ..ShardConfig::default()
     };
     let mut sharded = scaling::build_service_with(&class_set, &trained, eager);
     let started = std::time::Instant::now();
@@ -493,7 +492,7 @@ fn shard_loop(scale: Scale, out: &mut Vec<Measurement>) {
 fn serve_loop(scale: Scale, out: &mut Vec<Measurement>) {
     let n = wisedb_bench::serve_load::requests(scale);
     let bench = format!("serve/{n}");
-    let service = wisedb_bench::serve_load::build_service(scale);
+    let service = wisedb_bench::serve_load::build_service(scale, 1);
     let report = wisedb_bench::serve_load::run(service, scale);
     for (metric, value, kind) in [
         ("p50_us", report.p50_us, MetricKind::Time),

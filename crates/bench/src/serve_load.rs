@@ -84,8 +84,10 @@ pub fn admission_cap(scale: Scale) -> u64 {
 /// model quality). The admission valve is [`admission_cap`]; the age
 /// quantum is one hour so the hot sub-minute trace never triggers a
 /// synchronous retrain — decision latency measures the serve + planning
-/// path, with retraining covered by its own benches.
-pub fn build_service(scale: Scale) -> WorkloadService {
+/// path, with retraining covered by its own benches. `shards` sets the
+/// service's [`ShardConfig`]: how many threads a multi-class tick may
+/// plan on.
+pub fn build_service(scale: Scale, shards: usize) -> WorkloadService {
     let spec = wisedb::sim::catalog::tpch_like(10);
     let goal = PerformanceGoal::paper_default(GoalKind::MaxLatency, &spec)
         .expect("catalog specs admit defaults");
@@ -102,6 +104,7 @@ pub fn build_service(scale: Scale) -> WorkloadService {
             ..OnlineConfig::default()
         },
         admission: AdmissionPolicy::MaxInFlight(admission_cap(scale)),
+        shards: ShardConfig::with_shards(shards),
         ..RuntimeConfig::default()
     };
     WorkloadService::train(spec, goal, config).expect("training on the catalog spec succeeds")
@@ -158,7 +161,8 @@ pub fn run(service: WorkloadService, scale: Scale) -> LoadReport {
 }
 
 /// Replays the trace over `clients` concurrent connections against a
-/// server with `shards` scheduler shards. The trace is dealt round-robin,
+/// server around `service` (whose own config sets its shard count). The
+/// trace is dealt round-robin,
 /// so each client's slice keeps non-decreasing virtual arrival times; the
 /// live cluster clamps stale instants (`advance_to` never rewinds), so
 /// cross-client interleaving is safe — but it *does* change the admission
@@ -168,18 +172,9 @@ pub fn run(service: WorkloadService, scale: Scale) -> LoadReport {
 /// Each client runs lockstep (offer, await, next), so at most `clients`
 /// offers ever wait on the scheduler — far inside the default
 /// `queue_depth`, meaning no queue sheds pollute the counters.
-pub fn run_concurrent(
-    service: WorkloadService,
-    scale: Scale,
-    clients: usize,
-    shards: usize,
-) -> LoadReport {
+pub fn run_concurrent(service: WorkloadService, scale: Scale, clients: usize) -> LoadReport {
     let clients = clients.max(1);
-    let config = ServeConfig {
-        shards,
-        ..ServeConfig::default()
-    };
-    let handle = Server::spawn(service, config).expect("loopback bind succeeds");
+    let handle = Server::spawn(service, ServeConfig::default()).expect("loopback bind succeeds");
     let addr = handle.addr();
 
     let stream = trace(scale);

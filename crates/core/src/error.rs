@@ -103,6 +103,13 @@ pub enum CoreError {
         /// The class whose subset excludes it.
         class: crate::tenant::TenantId,
     },
+    /// A scheduling tick carried a second group for an SLA class. Each
+    /// class plans at most once per tick, so the later group is rejected
+    /// before any of its arrivals is admitted.
+    RepeatedTickClass {
+        /// The class that appeared again.
+        class: crate::tenant::TenantId,
+    },
     /// A hot-swapped model was trained for a different spec or goal than
     /// the SLA class it is replacing.
     ModelMismatch {
@@ -177,6 +184,9 @@ impl fmt::Display for CoreError {
             }
             CoreError::TemplateNotInClass { template, class } => {
                 write!(f, "template {template} is outside {class}'s subset")
+            }
+            CoreError::RepeatedTickClass { class } => {
+                write!(f, "{class} appears in more than one group of one tick")
             }
             CoreError::ModelMismatch { detail } => {
                 write!(f, "swapped model does not match the service: {detail}")

@@ -107,18 +107,26 @@ pub(crate) fn emit(mut event: Event) {
 
 /// Moves every registered buffer's contents into `into` — but only while
 /// `gen` is still the live generation, so a lingering collector from a
-/// replaced install cannot steal its successor's events.
+/// replaced install cannot steal its successor's events. A buffer whose
+/// only holder is the registry belongs to a thread that has exited: it is
+/// drained one last time and dropped, so short-lived threads (a tick's
+/// planning threads) do not pile up registrations.
 fn drain_buffers(gen: u64, into: &mut Vec<Event>) {
     let live = ACTIVE_GEN.load(Ordering::Acquire);
     if live != gen && live != 0 {
         return;
     }
-    let buffers: Vec<Buffer> = BUFFERS
+    let mut buffers: Vec<Buffer> = Vec::new();
+    BUFFERS
         .lock()
         .unwrap_or_else(|p| p.into_inner())
-        .iter()
-        .map(Arc::clone)
-        .collect();
+        .retain(|buffer| {
+            // Under the registry lock no thread can take a new reference
+            // to a registered buffer, so a count of 1 stays 1.
+            let live = Arc::strong_count(buffer) > 1;
+            buffers.push(Arc::clone(buffer));
+            live
+        });
     for buffer in buffers {
         let mut guard = buffer.lock().unwrap_or_else(|p| p.into_inner());
         into.append(&mut guard);
@@ -274,6 +282,31 @@ mod tests {
         assert!(trace.events.windows(2).all(|w| w[0].seq < w[1].seq));
         let totals = trace.span_totals();
         assert_eq!(totals["worker"].count, 100);
+    }
+
+    fn registered() -> usize {
+        BUFFERS.lock().unwrap_or_else(|p| p.into_inner()).len()
+    }
+
+    #[test]
+    fn buffers_of_exited_threads_are_collected_then_dropped() {
+        let _hold = test_lock::hold();
+        let collector = install(Level::Spans);
+        instant("main").emit();
+        for _ in 0..100 {
+            std::thread::spawn(|| {
+                instant("short").emit();
+                let _s = span("short");
+            })
+            .join()
+            .unwrap();
+        }
+        let trace = collector.finish();
+        assert_eq!(trace.events.len(), 1 + 100 * 3);
+        assert_eq!(trace.span_totals()["short"].count, 100);
+        // The sweeps collected every exited thread's events, then dropped
+        // its buffer: only this thread's registration is left.
+        assert_eq!(registered(), 1);
     }
 
     #[test]

@@ -26,13 +26,17 @@
 //!   `OnlineConfig` selects (`OnlineConfig::with_strategy`): exact A* by
 //!   default, or bounded-suboptimality beam/anytime replanning under the
 //!   per-arrival expansion budget.
-//! * [`shard`] — [`ShardedService`], the N-way tenant-partitioned form of
-//!   the service: classes fan out to persistent shard worker threads that
-//!   plan in parallel against an epoch-snapshot cluster view, and a serial
-//!   tick-order merge keeps billing, completions, and metrics
-//!   bit-identical to the unsharded service for any shard count. A greedy
-//!   EMA-driven rebalancer moves hot classes between shards under
-//!   [`ShardConfig`].
+//! * [`shard`] — multi-class scheduling ticks
+//!   ([`WorkloadService::offer_tick`] / [`run_ticked`]): each tick admits
+//!   its class groups in order, plans them against one epoch view of the
+//!   cluster — in parallel on scoped threads when
+//!   [`RuntimeConfig::shards`] names more than one shard — and merges the
+//!   plans in tick order, so outputs are bit-identical for any shard
+//!   count. A greedy EMA-driven rebalancer moves hot classes between
+//!   shards under [`ShardConfig`]. With the default single shard the
+//!   service owns no threads.
+//!
+//! [`run_ticked`]: WorkloadService::run_ticked
 //!
 //! ## Quickstart
 //!
@@ -83,7 +87,7 @@ pub use arrivals::{
 };
 pub use metrics::MetricsCollector;
 pub use service::{OfferOutcome, RuntimeConfig, StreamReport, WorkloadService};
-pub use shard::{LoadSignal, ShardConfig, ShardLaneStats, ShardStats, ShardedService, TickGroup};
+pub use shard::{LoadSignal, ShardConfig, ShardLaneStats, ShardStats, TickGroup};
 
 /// One-stop imports for driving the streaming runtime.
 pub mod prelude {
@@ -94,6 +98,6 @@ pub mod prelude {
     };
     pub use crate::metrics::MetricsCollector;
     pub use crate::service::{OfferOutcome, RuntimeConfig, StreamReport, WorkloadService};
-    pub use crate::shard::{LoadSignal, ShardConfig, ShardStats, ShardedService};
+    pub use crate::shard::{LoadSignal, ShardConfig, ShardStats};
     pub use wisedb_core::{ClassMetrics, LatencySummary, MetricsSnapshot, SlaClass, TenantId};
 }

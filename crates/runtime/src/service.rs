@@ -23,6 +23,9 @@
 //! every batch, and the per-class metrics row mirrors the fleet totals
 //! (asserted by `tests/multitenant_e2e.rs`).
 //!
+//! Multi-class scheduling ticks ([`offer_tick`](WorkloadService::offer_tick))
+//! live in [`crate::shard`]; they reuse every stage defined here.
+//!
 //! Everything is deterministic under a fixed seed — same stream, same
 //! placements, same bill — except scheduler *decision latency*, which is
 //! measured wall-clock and reported but never steers the simulation.
@@ -46,6 +49,7 @@ use wisedb_sim::{Completion, LiveCluster, LiveOptions, RecalledQuery};
 use crate::admission::{AdmissionPolicy, LoadStatus};
 use crate::arrivals::ArrivalProcess;
 use crate::metrics::MetricsCollector;
+use crate::shard::{ShardConfig, ShardState};
 
 /// Configuration of a [`WorkloadService`].
 #[derive(Debug, Clone)]
@@ -63,6 +67,9 @@ pub struct RuntimeConfig {
     /// Take an interim [`MetricsSnapshot`] every `snapshot_every` offered
     /// arrivals (`0` = final snapshot only).
     pub snapshot_every: usize,
+    /// How multi-class ticks spread their planning over threads. The
+    /// default is one shard, which plans every tick inline.
+    pub shards: ShardConfig,
 }
 
 impl Default for RuntimeConfig {
@@ -73,6 +80,7 @@ impl Default for RuntimeConfig {
             cluster: LiveOptions::default(),
             seed: 0x57EA_4,
             snapshot_every: 0,
+            shards: ShardConfig::default(),
         }
     }
 }
@@ -100,21 +108,20 @@ pub struct StreamReport {
 /// A streaming online workload-management service over a virtual clock,
 /// scheduling one or more tenant SLA classes onto one shared fleet.
 pub struct WorkloadService {
-    scheduler: MultiScheduler,
-    core: ServiceCore,
+    pub(crate) scheduler: MultiScheduler,
+    pub(crate) core: ServiceCore,
+    /// Shard assignment, tick counters and load averages.
+    pub(crate) shard: ShardState,
 }
 
 /// Everything of the service *except* the planner: the live cluster, the
 /// metrics collector, and the arrival/completion ledgers, plus the staged
-/// offer pipeline (admit → prepare → validate → apply → rollback) those
-/// books drive.
+/// offer pipeline (admit → prepare → plan → settle) those books drive.
 ///
-/// [`WorkloadService`] and the sharded service
-/// ([`ShardedService`](crate::ShardedService)) both own exactly one
-/// `ServiceCore` and differ only in *who* runs `plan_arrivals` between
-/// the stages — one `MultiScheduler` inline, or per-class schedulers on
-/// worker threads. Keeping every stage here is what makes the 1-shard
-/// case bit-identical to the unsharded service: both walk the same code.
+/// A lone burst and a multi-class tick walk the same stages; they differ
+/// only in *where* `plan_arrivals` runs between them — inline, or on the
+/// tick's planning threads. Keeping every stage here is what makes a
+/// singleton tick bit-identical to a lone burst: both walk the same code.
 pub(crate) struct ServiceCore {
     pub(crate) cluster: LiveCluster,
     pub(crate) metrics: MetricsCollector,
@@ -125,6 +132,31 @@ pub(crate) struct ServiceCore {
     pub(crate) arrival_of: Vec<Millis>,
     /// Completions observed so far (completion order).
     pub(crate) completions: Vec<Completion>,
+}
+
+/// One admitted group, ready to plan: its verdicts, its planning batch
+/// (newcomers first, then the class's recalled work), and what a failed
+/// plan must restore.
+pub(crate) struct Prepared {
+    pub(crate) class: TenantId,
+    pub(crate) outcomes: Vec<OfferOutcome>,
+    /// Newcomers admitted (the head of `batch`).
+    pub(crate) admitted: usize,
+    /// The last admitted arrival's instant: when the batch is planned.
+    pub(crate) planned_at: Millis,
+    pub(crate) first_id: usize,
+    pub(crate) batch: Vec<PendingArrival>,
+    pub(crate) recalled: Vec<RecalledQuery>,
+}
+
+/// The planner's view of the fleet at one instant.
+pub(crate) struct PlanningView {
+    pub(crate) cluster: ClusterView,
+    /// The VM a plan's assignments before its first provision step go to:
+    /// the open VM, if any.
+    pub(crate) target: Option<usize>,
+    /// That VM's type.
+    pub(crate) target_type: Option<VmTypeId>,
 }
 
 impl WorkloadService {
@@ -165,27 +197,18 @@ impl WorkloadService {
         Self::with_multi(multi, config)
     }
 
-    /// Opens a service around a pre-built multi-class scheduler.
-    pub fn with_multi(scheduler: MultiScheduler, config: RuntimeConfig) -> Self {
+    /// Opens a service around a pre-built multi-class scheduler. A shard
+    /// count of `0` is treated as `1`.
+    pub fn with_multi(scheduler: MultiScheduler, mut config: RuntimeConfig) -> Self {
+        config.shards.shards = config.shards.shards.max(1);
         let spec: SpecHandle = scheduler.spec_handle().clone();
         let classes = scheduler.classes().to_vec();
+        let shard = ShardState::new(classes.len(), config.shards.shards);
         WorkloadService {
             scheduler,
             core: ServiceCore::new(spec, classes, config),
+            shard,
         }
-    }
-
-    /// Splits the service into its planner and its books — the seam the
-    /// sharded service is built on.
-    pub(crate) fn into_parts(self) -> (MultiScheduler, ServiceCore) {
-        (self.scheduler, self.core)
-    }
-
-    /// Reassembles a service from parts (the inverse of
-    /// [`into_parts`](Self::into_parts): same scheduler, same books, no
-    /// state reset).
-    pub(crate) fn from_parts(scheduler: MultiScheduler, core: ServiceCore) -> Self {
-        WorkloadService { scheduler, core }
     }
 
     /// The workload specification in force.
@@ -266,7 +289,9 @@ impl WorkloadService {
     /// non-decreasing `at` order), coalescing every admitted newcomer into
     /// **one** `plan_arrivals` call instead of one per arrival — the
     /// request-batching path a network server takes when load outruns the
-    /// scheduler thread (drain the queue, plan once).
+    /// scheduler thread (drain the queue, plan once). The burst counts as
+    /// a one-group tick in [`stats`](Self::stats), and the plan is
+    /// computed inline whatever the shard count.
     ///
     /// Each arrival still advances the clock and passes through admission
     /// individually (earlier newcomers of the same burst count toward the
@@ -300,10 +325,37 @@ impl WorkloadService {
         }
         let priority = sla.priority;
 
-        let WorkloadService { scheduler, core } = self;
-        offer_batch_with(core, class, priority, arrivals, |view, batch, at| {
-            scheduler.plan_arrivals(class, view, batch, at)
-        })
+        let started = Instant::now();
+        let (outcomes, admitted) = self.core.admit_burst(class, priority, arrivals, 0);
+        let result = if admitted.is_empty() {
+            Ok(outcomes)
+        } else {
+            let group = self.core.prepare_batch(class, outcomes, &admitted);
+            let view = self.core.planning_view();
+            let plan_started = Instant::now();
+            let mut plan_span = wisedb_obs::span("runtime.plan");
+            if plan_span.recording() {
+                plan_span.attr_u64("batch", group.batch.len() as u64);
+                plan_span.attr_u64("recalled", group.recalled.len() as u64);
+                plan_span.virt(group.planned_at);
+            }
+            let planned =
+                self.scheduler
+                    .plan_arrivals(class, &view.cluster, &group.batch, group.planned_at);
+            drop(plan_span);
+            let plan_secs = plan_started.elapsed().as_secs_f64();
+            let result = self.core.settle(group, planned, plan_secs, &view);
+            let load = self
+                .core
+                .config
+                .shards
+                .load(started.elapsed().as_secs_f64(), arrivals.len());
+            self.shard.record_plan(class, result.is_ok(), load);
+            result
+        };
+        self.shard
+            .end_tick(&self.core.config.shards, self.core.cluster.now());
+        result
     }
 
     /// Checks a plan against the live cluster before applying it; see
@@ -340,12 +392,7 @@ impl WorkloadService {
                 snapshots.push(self.snapshot());
             }
         }
-        self.drain();
-        Ok(StreamReport {
-            snapshots,
-            last: self.snapshot(),
-            completions: self.core.completions.clone(),
-        })
+        Ok(self.finish(snapshots))
     }
 
     /// Draws `n` arrivals from `process` (seeded by the config, tagged
@@ -368,77 +415,18 @@ impl WorkloadService {
                 snapshots.push(self.snapshot());
             }
         }
+        Ok(self.finish(snapshots))
+    }
+
+    /// Drains the cluster and reports the run.
+    pub(crate) fn finish(&mut self, snapshots: Vec<MetricsSnapshot>) -> StreamReport {
         self.drain();
-        Ok(StreamReport {
+        StreamReport {
             snapshots,
             last: self.snapshot(),
             completions: self.core.completions.clone(),
-        })
-    }
-}
-
-/// The single-burst offer pipeline with the planner abstracted out:
-/// admit each arrival (advancing the clock), assign ids and recall the
-/// class's unstarted work, build the live [`ClusterView`], call
-/// `plan_fn` on the batch, then validate + apply the plan (or roll the
-/// recall back on failure).
-///
-/// [`WorkloadService::offer_batch_as`] passes its `MultiScheduler` as
-/// `plan_fn`; the sharded service's single-group path passes the class's
-/// own scheduler. Both therefore run *this exact code* stage for stage —
-/// which is the mechanism behind the 1-shard bit-identity guarantee, not
-/// just an argument about equivalent implementations.
-pub(crate) fn offer_batch_with(
-    core: &mut ServiceCore,
-    class: TenantId,
-    priority: u8,
-    arrivals: &[(TemplateId, Millis)],
-    plan_fn: impl FnOnce(&ClusterView, &[PendingArrival], Millis) -> CoreResult<ArrivalPlan>,
-) -> CoreResult<Vec<OfferOutcome>> {
-    let (outcomes, admitted) = core.admit_burst(class, priority, arrivals, 0, 0);
-    let Some(&(_, planned_at)) = admitted.last() else {
-        return Ok(outcomes);
-    };
-    let (first_id, batch, recalled) = core.prepare_batch(class, &admitted);
-
-    let open = core.cluster.open_vm();
-    // Assignments before the first provision step go to the open VM.
-    let target = open.as_ref().map(|(index, _)| *index);
-    let target_type = open.as_ref().map(|(_, view)| view.vm_type);
-    let view = ClusterView {
-        vms_rented: core.cluster.vms_provisioned() as u32,
-        open_vm: open.map(|(_, view)| view),
-    };
-
-    let started = Instant::now();
-    let mut plan_span = wisedb_obs::span("runtime.plan");
-    if plan_span.recording() {
-        plan_span.attr_u64("batch", batch.len() as u64);
-        plan_span.attr_u64("recalled", recalled.len() as u64);
-        plan_span.virt(planned_at);
-    }
-    let planned = plan_fn(&view, &batch, planned_at);
-    drop(plan_span);
-    let plan = match planned {
-        Ok(plan) => {
-            core.metrics.decision(started.elapsed().as_secs_f64());
-            wisedb_obs::observe_us(
-                "wisedb_runtime_decision_us",
-                started.elapsed().as_micros() as u64,
-            );
-            // A plan the cluster cannot honor (malformed or stale) must
-            // fail this request, not the process: check it in full before
-            // mutating anything.
-            match core.validate_plan(&plan, target_type) {
-                Ok(()) => plan,
-                Err(err) => return core.rollback_offer(recalled, first_id, admitted.len(), err),
-            }
         }
-        // Planning failed (e.g. a retrain hit its search limits).
-        Err(err) => return core.rollback_offer(recalled, first_id, admitted.len(), err),
-    };
-    core.apply_plan(class, plan, target, admitted.len())?;
-    Ok(outcomes)
+    }
 }
 
 impl ServiceCore {
@@ -454,19 +442,18 @@ impl ServiceCore {
         }
     }
 
-    /// Admission for one same-class burst, one arrival at a time: the
+    /// Admission for one same-class group, one arrival at a time: the
     /// virtual clock advances to each instant, and newcomers already
-    /// admitted from this burst are folded into the pending/in-flight
+    /// admitted from this group are folded into the pending/in-flight
     /// signals (they are not yet queued on the cluster, but they are
     /// committed to be).
     ///
-    /// `carried` / `carried_class` extend that fold to newcomers admitted
-    /// by *earlier groups of the same scheduling tick* (total and
-    /// same-class respectively) — the sharded tick admits several groups
-    /// before any of them is planned, and each must see its predecessors'
-    /// commitments exactly like a later arrival of one serial burst would.
-    /// Both are `0` on the unsharded path, which makes this the original
-    /// single-burst admission loop verbatim.
+    /// `carried` extends that fold to newcomers admitted by *earlier
+    /// groups of the same scheduling tick* — a multi-class tick admits
+    /// several groups before any of them is planned, and each must see its
+    /// predecessors' commitments exactly like a later arrival of one
+    /// serial burst would. It is `0` for a lone burst. (Each class appears
+    /// at most once per tick, so no earlier group shares this one's class.)
     ///
     /// Returns the per-arrival outcomes plus the admitted `(template, at)`
     /// pairs; rejections are recorded against `class` as they happen.
@@ -476,7 +463,6 @@ impl ServiceCore {
         priority: u8,
         arrivals: &[(TemplateId, Millis)],
         carried: usize,
-        carried_class: usize,
     ) -> (Vec<OfferOutcome>, Vec<(TemplateId, Millis)>) {
         let mut outcomes = Vec::with_capacity(arrivals.len());
         let mut admitted: Vec<(TemplateId, Millis)> = Vec::new();
@@ -490,7 +476,7 @@ impl ServiceCore {
                 vms_in_flight: self.cluster.vms_in_flight(),
                 class,
                 priority,
-                class_pending: self.cluster.pending_of(class) + admitted.len() + carried_class,
+                class_pending: self.cluster.pending_of(class) + admitted.len(),
             };
             if self.config.admission.admits(&status) {
                 admitted.push((template, at));
@@ -511,17 +497,17 @@ impl ServiceCore {
         (outcomes, admitted)
     }
 
-    /// Builds the planning batch for one admitted group: assigns stream
-    /// ids to the newcomers (recording their arrival times) and recalls
-    /// every *same-class* query queued unstarted. Other classes' queued
-    /// placements stay put — their own next arrival may replan them.
-    /// Returns `(first_id, batch, recalled)`; the recalled list is what a
-    /// failed plan must restore.
+    /// Builds the planning batch for one admitted group (`admitted` is
+    /// non-empty): assigns stream ids to the newcomers (recording their
+    /// arrival times) and recalls every *same-class* query queued
+    /// unstarted. Other classes' queued placements stay put — their own
+    /// next arrival may replan them.
     pub(crate) fn prepare_batch(
         &mut self,
         class: TenantId,
+        outcomes: Vec<OfferOutcome>,
         admitted: &[(TemplateId, Millis)],
-    ) -> (usize, Vec<PendingArrival>, Vec<RecalledQuery>) {
+    ) -> Prepared {
         let first_id = self.arrival_of.len();
         let mut batch: Vec<PendingArrival> = Vec::with_capacity(admitted.len());
         for (i, &(template, at)) in admitted.iter().enumerate() {
@@ -540,7 +526,56 @@ impl ServiceCore {
                 arrival: self.arrival_of[r.query.index()],
             });
         }
-        (first_id, batch, recalled)
+        Prepared {
+            class,
+            outcomes,
+            admitted: admitted.len(),
+            planned_at: admitted.last().map_or(Millis::ZERO, |&(_, at)| at),
+            first_id,
+            batch,
+            recalled,
+        }
+    }
+
+    /// The live fleet as the planner sees it: the rented-VM count and the
+    /// open VM, if any.
+    pub(crate) fn planning_view(&self) -> PlanningView {
+        let open = self.cluster.open_vm();
+        PlanningView {
+            target: open.as_ref().map(|(index, _)| *index),
+            target_type: open.as_ref().map(|(_, view)| view.vm_type),
+            cluster: ClusterView {
+                vms_rented: self.cluster.vms_provisioned() as u32,
+                open_vm: open.map(|(_, view)| view),
+            },
+        }
+    }
+
+    /// Settles one planned group against the live cluster: records the
+    /// decision latency, then validates and applies the plan — or, if
+    /// planning or validation failed, rolls the group back. `view` is the
+    /// view the plan was made against.
+    pub(crate) fn settle(
+        &mut self,
+        group: Prepared,
+        planned: CoreResult<ArrivalPlan>,
+        plan_secs: f64,
+        view: &PlanningView,
+    ) -> CoreResult<Vec<OfferOutcome>> {
+        let plan = planned.and_then(|plan| {
+            self.metrics.decision(plan_secs);
+            wisedb_obs::observe_us("wisedb_runtime_decision_us", (plan_secs * 1e6) as u64);
+            // A plan the cluster cannot honor (malformed or stale) must
+            // fail this request, not the process: check it in full before
+            // mutating anything.
+            self.validate_plan(&plan, view.target_type).map(|()| plan)
+        });
+        match plan {
+            Ok(plan) => self
+                .apply_plan(group.class, plan, view.target, group.admitted)
+                .map(|()| group.outcomes),
+            Err(err) => self.rollback_offer(group.recalled, group.first_id, group.admitted, err),
+        }
     }
 
     /// Checks a plan's steps against the live cluster **before** any of
@@ -589,7 +624,7 @@ impl ServiceCore {
     /// Dispatches a validated plan onto the cluster, crediting `admitted`
     /// admissions to `class` first. `target` is the VM assignments before
     /// the plan's first provision step go to — the open VM of the view the
-    /// plan was made against (the live one, or the tick snapshot's).
+    /// plan was made against.
     ///
     /// Callers must have run [`validate_plan`](Self::validate_plan); a
     /// failure mid-application still answers with a typed error, but the

@@ -1,72 +1,55 @@
-//! N-way tenant-partitioned scheduling: parallel planning over an
-//! epoch-snapshot cluster view.
+//! Multi-class scheduling ticks: tenant classes planned in parallel
+//! against one epoch view of the cluster.
 //!
-//! The serve layer funnels every request through one scheduler thread
-//! because [`WorkloadService`] is single-threaded by construction — one
-//! `MultiScheduler`, one `LiveCluster`, one lock-free owner. That thread
-//! is the scalability ceiling. [`ShardedService`] removes it by
-//! exploiting the seam the multi-tenant design already has: **classes are
-//! independent at plan time**. Each tenant class's batch is planned by
-//! its own `OnlineScheduler` against a read-only view of the fleet, so
-//! the plan calls — the expensive part of the loop — can run on parallel
-//! worker threads while the cluster, billing, and metrics stay under one
-//! owner.
+//! [`WorkloadService`] owns one `MultiScheduler`, one `LiveCluster` and one
+//! set of books. The seam that lets it use more than one core is that
+//! **classes are independent at plan time**: each tenant class's batch is
+//! planned by its own `OnlineScheduler` against a read-only view of the
+//! fleet, so the plan calls — the expensive part of the loop — can run on
+//! parallel threads while the cluster, billing, and metrics stay with
+//! the calling thread.
 //!
-//! A scheduling **tick** processes a set of per-class arrival groups in
-//! three phases:
+//! A scheduling **tick** ([`WorkloadService::offer_tick`]) processes a set
+//! of per-class arrival groups in three phases:
 //!
 //! 1. **Admit (serial)** — in tick order, each group's arrivals advance
 //!    the virtual clock and pass admission individually, with newcomers
 //!    admitted by earlier groups of the same tick folded into the load
 //!    signals; admitted newcomers get stream ids and the class's
-//!    unstarted work is recalled.
-//! 2. **Plan (parallel)** — one immutable [`ClusterSnapshot`] is taken
-//!    (the tick's *epoch*) and converted to a [`ClusterView`] shared as
-//!    an `Arc`; each group is fanned out to the shard that owns its class
-//!    and planned there by the class's own scheduler. Shards never touch
-//!    — or lock — the live cluster.
+//!    unstarted work is recalled. A class may appear in at most one group
+//!    per tick.
+//! 2. **Plan (parallel)** — one [`ClusterView`] is taken (the tick's
+//!    *epoch*), and each group is planned by its class's scheduler on the
+//!    shard that owns the class: shard 0's groups on the calling thread,
+//!    each other shard's on one scoped thread that borrows its classes'
+//!    schedulers for the tick. Planning never touches the live cluster.
 //! 3. **Merge (serial)** — plans are validated and applied to the one
 //!    `LiveCluster` in **tick order** (the order the groups were given,
 //!    *not* shard order), so billing, completions, and metrics come out
 //!    identical no matter how classes are spread over shards.
 //!
+//! A one-group tick skips the epoch and plans inline through
+//! [`WorkloadService::offer_batch_as`]. A one-shard service therefore
+//! never spawns a thread.
+//!
 //! ## Determinism
 //!
-//! A group's plan depends only on the epoch snapshot, the group's batch,
-//! and its class's scheduler state — none of which depend on the shard
-//! count or the class→shard assignment. The merge applies plans in tick
-//! order, which is also assignment-independent. Hence the sharded service
-//! produces **bit-identical** verdicts, completions, bills, and metrics
-//! for *any* shard count — and the single-group path
-//! ([`offer_batch_as`](ShardedService::offer_batch_as)) runs the exact
-//! [`offer_batch_with`] pipeline of the unsharded service, making the
-//! 1-shard case bit-identical to [`WorkloadService`] by shared code, not
-//! by argument. It also means the greedy load-skew **rebalancer** (which
+//! A group's plan depends only on the epoch view, the group's batch, and
+//! its class's scheduler state — none of which depend on the shard count
+//! or the class→shard assignment. The merge applies plans in tick order,
+//! which is also assignment-independent. Hence a tick produces
+//! **bit-identical** verdicts, completions, bills, and metrics for *any*
+//! shard count. It also means the greedy load-skew **rebalancer** (which
 //! moves hot classes between shards on a wall-clock EMA, an inherently
 //! nondeterministic signal) can never perturb outputs: it only changes
 //! *where* a plan is computed.
-//!
-//! [`ClusterSnapshot`]: wisedb_sim::ClusterSnapshot
 
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Instant;
 
-use wisedb_advisor::multi::MultiScheduler;
-use wisedb_advisor::online::{
-    ArrivalPlan, ClusterView, OnlineConfig, OnlineScheduler, PendingArrival,
-};
-use wisedb_advisor::{DecisionModel, TrainingArtifacts};
-use wisedb_core::{
-    ArrivingQuery, CoreError, CoreResult, MetricsSnapshot, Millis, SlaClass, SpecHandle,
-    TemplateId, TenantId, WorkloadSpec,
-};
-use wisedb_sim::{Completion, LiveCluster};
+use wisedb_advisor::online::{ArrivalPlan, ClusterView, OnlineScheduler};
+use wisedb_core::{ArrivingQuery, CoreError, CoreResult, Millis, TemplateId, TenantId};
 
-use crate::service::{
-    offer_batch_with, OfferOutcome, RuntimeConfig, ServiceCore, StreamReport, WorkloadService,
-};
+use crate::service::{OfferOutcome, Prepared, StreamReport, WorkloadService};
 
 /// The load signal the rebalancer ranks shards and classes by.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,19 +63,17 @@ pub enum LoadSignal {
     BatchSize,
 }
 
-/// Configuration of a [`ShardedService`].
+/// How a [`WorkloadService`] spreads multi-class ticks over planning
+/// threads; the `shards` field of
+/// [`RuntimeConfig`](crate::RuntimeConfig).
 #[derive(Debug, Clone)]
 pub struct ShardConfig {
-    /// Number of scheduler shards (planner worker threads). `0` is
-    /// treated as `1`; one shard still exercises the full tick pipeline
-    /// (snapshot, fan-out, merge) on multi-group ticks.
+    /// Number of scheduler shards. `0` is treated as `1`; one shard plans
+    /// every tick on the calling thread.
     pub shards: usize,
     /// Check for load skew every this many ticks (`0` disables
     /// rebalancing entirely).
     pub rebalance_every: u64,
-    /// EMA smoothing factor in `(0, 1]` for the per-shard and per-class
-    /// load averages; higher weighs recent ticks more.
-    pub ema_alpha: f64,
     /// Rebalance when the hottest shard's load EMA exceeds the coldest's
     /// by this factor (and the hot shard has at least two classes).
     pub skew_threshold: f64,
@@ -105,7 +86,6 @@ impl Default for ShardConfig {
         ShardConfig {
             shards: 1,
             rebalance_every: 64,
-            ema_alpha: 0.2,
             skew_threshold: 2.0,
             signal: LoadSignal::PlanTime,
         }
@@ -120,125 +100,33 @@ impl ShardConfig {
             ..ShardConfig::default()
         }
     }
+
+    /// One plan's load under the configured signal.
+    pub(crate) fn load(&self, plan_secs: f64, batch_len: usize) -> f64 {
+        match self.signal {
+            LoadSignal::PlanTime => plan_secs * 1e6,
+            LoadSignal::BatchSize => batch_len as f64,
+        }
+    }
 }
+
+/// EMA smoothing factor for the per-shard and per-class load averages.
+const EMA_ALPHA: f64 = 0.2;
 
 /// One class group of a scheduling tick: the class plus its arrivals
 /// (`(template, at)` pairs in non-decreasing `at` order; groups must also
 /// be tick-ordered by their first arrival).
 pub type TickGroup = (TenantId, Vec<(TemplateId, Millis)>);
 
-/// A planning task shipped to a shard worker: the class's scheduler
-/// travels with the batch and comes back with the plan.
-struct PlanTask {
-    /// Position of the group in the tick (the merge order).
-    seq: usize,
-    class: TenantId,
-    scheduler: OnlineScheduler,
-    batch: Vec<PendingArrival>,
-    planned_at: Millis,
-}
-
-/// A planned task on its way back from a worker.
-struct PlannedTask {
-    seq: usize,
-    class: TenantId,
-    scheduler: OnlineScheduler,
-    result: CoreResult<ArrivalPlan>,
-    plan_secs: f64,
-    batch_len: usize,
-}
-
-/// One epoch's work for one shard.
-struct ShardJob {
-    shard: usize,
-    epoch: u64,
-    view: Arc<ClusterView>,
-    tasks: Vec<PlanTask>,
-}
-
-/// One shard's finished epoch.
-struct ShardDone {
-    shard: usize,
-    /// Wall-clock microseconds the shard spent planning this epoch.
-    plan_us: u64,
-    tasks: Vec<PlannedTask>,
-}
-
-/// A persistent shard worker thread. Dropping it closes its job channel,
-/// which ends the worker's loop; the join on drop is what makes
-/// [`ShardedService`] safe to dismantle at any point between ticks.
-struct ShardWorker {
-    tx: Option<Sender<ShardJob>>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl Drop for ShardWorker {
-    fn drop(&mut self) {
-        drop(self.tx.take());
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-fn spawn_worker(shard: usize, done_tx: Sender<ShardDone>) -> ShardWorker {
-    let (tx, rx): (Sender<ShardJob>, Receiver<ShardJob>) = channel();
-    let handle = std::thread::Builder::new()
-        .name(format!("wisedb-shard-{shard}"))
-        .spawn(move || {
-            while let Ok(job) = rx.recv() {
-                let mut span = wisedb_obs::span("shard.plan");
-                if span.recording() {
-                    span.attr_u64("shard", job.shard as u64);
-                    span.attr_u64("epoch", job.epoch);
-                    span.attr_u64("groups", job.tasks.len() as u64);
-                }
-                let started = Instant::now();
-                let mut done = Vec::with_capacity(job.tasks.len());
-                for mut task in job.tasks {
-                    let t0 = Instant::now();
-                    let result =
-                        task.scheduler
-                            .plan_arrivals(&job.view, &task.batch, task.planned_at);
-                    done.push(PlannedTask {
-                        seq: task.seq,
-                        class: task.class,
-                        scheduler: task.scheduler,
-                        result,
-                        plan_secs: t0.elapsed().as_secs_f64(),
-                        batch_len: task.batch.len(),
-                    });
-                }
-                drop(span);
-                let finished = ShardDone {
-                    shard: job.shard,
-                    plan_us: started.elapsed().as_micros() as u64,
-                    tasks: done,
-                };
-                if done_tx.send(finished).is_err() {
-                    // The service is gone; schedulers die with the batch.
-                    break;
-                }
-            }
-        })
-        .expect("spawning a shard worker thread succeeds");
-    ShardWorker {
-        tx: Some(tx),
-        handle: Some(handle),
-    }
-}
-
-/// Aggregate counters of a sharded run; see
-/// [`stats`](ShardedService::stats).
+/// Aggregate tick counters of a service; see
+/// [`stats`](WorkloadService::stats).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardStats {
     /// Configured shard count.
     pub shards: usize,
-    /// Scheduling ticks processed (single-group fast-path calls count as
-    /// one-group ticks).
+    /// Scheduling ticks processed (lone bursts count as one-group ticks).
     pub ticks: u64,
-    /// Epochs snapshotted — multi-group ticks that reached the parallel
-    /// plan phase.
+    /// Epochs taken — multi-group ticks that reached the plan phase.
     pub epochs: u64,
     /// Plan calls issued across all shards (deterministic for a fixed
     /// trace and tick structure).
@@ -263,26 +151,12 @@ pub struct ShardLaneStats {
     pub load_ema: f64,
 }
 
-/// A tenant-partitioned [`WorkloadService`]: per-class planning fans out
-/// to N persistent shard workers against an epoch-snapshot cluster view,
-/// and a serial merge keeps the virtual clock, billing, completions, and
-/// metrics bit-identical to the unsharded service. See the module docs
-/// for the phase/determinism story.
-pub struct ShardedService {
-    core: ServiceCore,
-    spec: SpecHandle,
-    classes: Vec<SlaClass>,
-    online: OnlineConfig,
-    /// Class schedulers, indexed by [`TenantId`]. A slot is `None` only
-    /// while its scheduler is out planning on a worker (within one
-    /// `offer_tick` call); between ticks every scheduler is home.
-    schedulers: Vec<Option<OnlineScheduler>>,
+/// The service's shard books: class → shard assignment, tick counters,
+/// and the load averages the rebalancer reads.
+pub(crate) struct ShardState {
     /// Class → shard, rewritten by the rebalancer.
     assignment: Vec<usize>,
-    config: ShardConfig,
-    workers: Vec<ShardWorker>,
-    done_rx: Receiver<ShardDone>,
-    epoch: u64,
+    epochs: u64,
     ticks: u64,
     decisions: u64,
     merged_plans: u64,
@@ -295,582 +169,61 @@ pub struct ShardedService {
     class_ema: Vec<f64>,
 }
 
-impl WorkloadService {
-    /// Converts this service into a [`ShardedService`] with `config`'s
-    /// shard layout. The books (cluster, metrics, ledgers) and every
-    /// class scheduler move over untouched, so the sharded service
-    /// continues the same session — and
-    /// [`ShardedService::into_service`] is the exact inverse.
-    pub fn into_sharded(self, config: ShardConfig) -> ShardedService {
-        let (scheduler, core) = self.into_parts();
-        let (spec, classes, schedulers, online) = scheduler.into_parts();
-        ShardedService::assemble(core, spec, classes, schedulers, online, config)
-    }
-}
+/// One group's plan as its shard returns it: the group's position in the
+/// tick's prepared list, the plan, and the wall seconds it took.
+type Planned = (usize, CoreResult<ArrivalPlan>, f64);
 
-impl ShardedService {
-    /// Trains one model per class and opens a sharded service directly —
-    /// [`WorkloadService::train_classes`] followed by
-    /// [`into_sharded`](WorkloadService::into_sharded).
-    pub fn train_classes(
-        spec: impl Into<SpecHandle>,
-        classes: Vec<SlaClass>,
-        runtime: RuntimeConfig,
-        config: ShardConfig,
-    ) -> CoreResult<Self> {
-        Ok(WorkloadService::train_classes(spec, classes, runtime)?.into_sharded(config))
-    }
-
-    fn assemble(
-        core: ServiceCore,
-        spec: SpecHandle,
-        classes: Vec<SlaClass>,
-        schedulers: Vec<OnlineScheduler>,
-        online: OnlineConfig,
-        mut config: ShardConfig,
-    ) -> Self {
-        config.shards = config.shards.max(1);
-        let shards = config.shards;
-        let (done_tx, done_rx) = channel();
-        let workers = (0..shards)
-            .map(|s| spawn_worker(s, done_tx.clone()))
-            .collect();
-        let n = classes.len();
-        ShardedService {
-            core,
-            spec,
-            classes,
-            online,
-            schedulers: schedulers.into_iter().map(Some).collect(),
+impl ShardState {
+    pub(crate) fn new(classes: usize, shards: usize) -> Self {
+        ShardState {
             // Round-robin start; the rebalancer refines it under load.
-            assignment: (0..n).map(|c| c % shards).collect(),
-            config,
-            workers,
-            done_rx,
-            epoch: 0,
+            assignment: (0..classes).map(|c| c % shards).collect(),
+            epochs: 0,
             ticks: 0,
             decisions: 0,
             merged_plans: 0,
             rebalances: 0,
             shard_ema: vec![0.0; shards],
             shard_decisions: vec![0; shards],
-            class_ema: vec![0.0; n],
+            class_ema: vec![0.0; classes],
         }
     }
 
-    /// Dismantles the sharded service back into a plain
-    /// [`WorkloadService`] — same books, same schedulers (caches intact).
-    /// Workers are joined; the tick counters are dropped.
-    pub fn into_service(self) -> WorkloadService {
-        let ShardedService {
-            core,
-            classes,
-            schedulers,
-            online,
-            workers,
-            ..
-        } = self;
-        drop(workers);
-        let schedulers = schedulers
-            .into_iter()
-            .map(|s| s.expect("schedulers are home between ticks"))
-            .collect();
-        let scheduler = MultiScheduler::with_schedulers(classes, schedulers, online)
-            .expect("the parts came from a valid MultiScheduler");
-        WorkloadService::from_parts(scheduler, core)
-    }
-
-    /// The workload specification in force.
-    pub fn spec(&self) -> &WorkloadSpec {
-        self.core.cluster.spec()
-    }
-
-    /// The configured SLA classes, indexed by [`TenantId`].
-    pub fn classes(&self) -> &[SlaClass] {
-        &self.classes
-    }
-
-    /// One class's scheduler (base model + caches).
-    pub fn scheduler(&self, class: TenantId) -> CoreResult<&OnlineScheduler> {
-        self.schedulers
-            .get(class.index())
-            .and_then(|s| s.as_ref())
-            .ok_or(CoreError::UnknownTenantClass { class })
-    }
-
-    /// The current virtual time.
-    pub fn now(&self) -> Millis {
-        self.core.cluster.now()
-    }
-
-    /// The runtime configuration the service was opened with.
-    pub fn config(&self) -> &RuntimeConfig {
-        &self.core.config
-    }
-
-    /// The shard layout configuration.
-    pub fn shard_config(&self) -> &ShardConfig {
-        &self.config
-    }
-
-    /// The live cluster session (fleet state, running bill).
-    pub fn cluster(&self) -> &LiveCluster {
-        &self.core.cluster
-    }
-
-    /// Current class → shard assignment, indexed by [`TenantId`].
-    pub fn assignment(&self) -> &[usize] {
-        &self.assignment
-    }
-
-    /// Aggregate shard counters: ticks, epochs, plan calls, merges,
-    /// rebalances, and per-shard lanes. `decisions` and `merged_plans`
-    /// are deterministic for a fixed trace and tick structure;
-    /// `rebalances` is too under [`LoadSignal::BatchSize`].
-    pub fn stats(&self) -> ShardStats {
-        let per_shard = (0..self.config.shards)
-            .map(|s| ShardLaneStats {
-                classes: (0..self.assignment.len())
-                    .filter(|&c| self.assignment[c] == s)
-                    .map(|c| TenantId(c as u32))
-                    .collect(),
-                decisions: self.shard_decisions[s],
-                load_ema: self.shard_ema[s],
-            })
-            .collect();
-        ShardStats {
-            shards: self.config.shards,
-            ticks: self.ticks,
-            epochs: self.epoch,
-            decisions: self.decisions,
-            merged_plans: self.merged_plans,
-            rebalances: self.rebalances,
-            per_shard,
+    /// Counts one inline plan call of `class` (merged if `merged`) and
+    /// folds its load.
+    pub(crate) fn record_plan(&mut self, class: TenantId, merged: bool, load: f64) {
+        let shard = self.assignment[class.index()];
+        self.decisions += 1;
+        self.shard_decisions[shard] += 1;
+        wisedb_obs::counter_add("wisedb_shard_decisions_total", 1);
+        if merged {
+            self.merged_plans += 1;
+            wisedb_obs::counter_add("wisedb_shard_merged_plans_total", 1);
         }
+        self.fold_load(&[(shard, class, load)]);
     }
 
-    /// A metrics snapshot at the current virtual instant, with per-class
-    /// rows carrying the cluster's dollar attribution.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        self.core.snapshot()
-    }
-
-    /// Completions observed so far, in completion order.
-    pub fn completions(&self) -> &[Completion] {
-        &self.core.completions
-    }
-
-    /// Runs everything still queued to completion.
-    pub fn drain(&mut self) {
-        self.core.drain();
-    }
-
-    /// Hot-swaps one class's decision model; semantics identical to
-    /// [`WorkloadService::swap_model`] (the new model, with fresh caches,
-    /// plans that class's next batch). The model must match the service's
-    /// spec and the class's goal.
-    pub fn swap_model(
-        &mut self,
-        class: TenantId,
-        model: DecisionModel,
-        artifacts: TrainingArtifacts,
-    ) -> CoreResult<()> {
-        let result = (|| {
-            let slot = self
-                .classes
-                .get(class.index())
-                .ok_or(CoreError::UnknownTenantClass { class })?;
-            if *model.spec_handle() != self.spec {
-                return Err(CoreError::ModelMismatch {
-                    detail: format!("model spec differs from the service spec ({class})"),
-                });
-            }
-            if *model.goal_handle() != slot.goal {
-                return Err(CoreError::ModelMismatch {
-                    detail: format!("model goal differs from {class}'s SLA goal"),
-                });
-            }
-            self.schedulers[class.index()] = Some(OnlineScheduler::with_model(
-                model,
-                artifacts,
-                self.online.clone(),
-            ));
-            Ok(())
-        })();
-        wisedb_obs::counter_add("wisedb_runtime_model_swaps_total", 1);
-        wisedb_obs::instant("runtime.swap_model")
-            .virt(self.core.cluster.now())
-            .attr_u64("class", class.index() as u64)
-            .attr_bool("applied", result.is_ok())
-            .emit();
-        result
-    }
-
-    /// Offers one arrival of an SLA class at virtual time `at`. Returns
-    /// `true` if admitted — exactly [`WorkloadService::offer_as`].
-    pub fn offer_as(
-        &mut self,
-        template: TemplateId,
-        class: TenantId,
-        at: Millis,
-    ) -> CoreResult<bool> {
-        let outcomes = self.offer_batch_as(class, &[(template, at)])?;
-        Ok(outcomes[0] == OfferOutcome::Admitted)
-    }
-
-    /// Offers one same-class burst — a one-group tick. This is the
-    /// unsharded [`WorkloadService::offer_batch_as`] pipeline verbatim
-    /// (same admission, recall, live view, plan, apply), with the plan
-    /// computed inline by the class's own scheduler: with a single group
-    /// there is nothing to parallelize, and routing through a worker
-    /// would only add a channel round trip. Bit-identical to the
-    /// unsharded service for every shard count — by shared code.
-    pub fn offer_batch_as(
-        &mut self,
-        class: TenantId,
-        arrivals: &[(TemplateId, Millis)],
-    ) -> CoreResult<Vec<OfferOutcome>> {
-        if arrivals.is_empty() {
-            return Ok(Vec::new());
-        }
-        let mut batch_span = wisedb_obs::span("runtime.offer_batch");
-        if batch_span.recording() {
-            batch_span.attr_u64("class", class.index() as u64);
-            batch_span.attr_u64("arrivals", arrivals.len() as u64);
-            batch_span.virt(arrivals[arrivals.len() - 1].1);
-        }
-        let sla = self
-            .classes
-            .get(class.index())
-            .ok_or(CoreError::UnknownTenantClass { class })?;
-        for &(template, _) in arrivals {
-            if !sla.allows(template) {
-                return Err(CoreError::TemplateNotInClass { template, class });
-            }
-        }
-        let priority = sla.priority;
-        let scheduler = self.schedulers[class.index()]
-            .as_mut()
-            .expect("schedulers are home between ticks");
-
-        let started = Instant::now();
-        let mut planned = false;
-        let result = offer_batch_with(
-            &mut self.core,
-            class,
-            priority,
-            arrivals,
-            |view, batch, at| {
-                planned = true;
-                scheduler.plan_arrivals(view, batch, at)
-            },
-        );
-
-        // Account the fast path as a one-group tick so the stats and the
-        // rebalancer see workloads driven through offer_as/run_stream too.
+    /// Ends one tick: counts it, then gives the rebalancer its turn.
+    pub(crate) fn end_tick(&mut self, config: &ShardConfig, now: Millis) {
         self.ticks += 1;
-        if planned {
-            let shard = self.assignment[class.index()];
-            self.decisions += 1;
-            self.shard_decisions[shard] += 1;
-            wisedb_obs::counter_add("wisedb_shard_decisions_total", 1);
-            if result.is_ok() {
-                self.merged_plans += 1;
-                wisedb_obs::counter_add("wisedb_shard_merged_plans_total", 1);
-            }
-            let load = match self.config.signal {
-                LoadSignal::PlanTime => started.elapsed().as_micros() as f64,
-                LoadSignal::BatchSize => arrivals.len() as f64,
-            };
-            self.fold_load(&[(shard, class, load)]);
-        }
-        self.maybe_rebalance();
-        result
-    }
-
-    /// Processes one multi-group scheduling tick: admit every group in
-    /// tick order, snapshot the cluster once (epoch), plan all groups in
-    /// parallel on the shard workers, and merge the plans back in tick
-    /// order. Returns one verdict list per input group, aligned with
-    /// `groups`; a group whose class is unknown, whose template falls
-    /// outside the class subset, or whose plan fails gets an `Err` —
-    /// other groups proceed (failed groups roll back their recall, like
-    /// a failed unsharded burst).
-    ///
-    /// Groups should be tick-ordered (non-decreasing first-arrival
-    /// times); the same class may appear more than once (later groups of
-    /// a class simply recall nothing). The outer error fires only on
-    /// infrastructure failure (a dead worker), which poisons the tick.
-    #[allow(clippy::type_complexity)]
-    pub fn offer_tick(
-        &mut self,
-        groups: &[TickGroup],
-    ) -> CoreResult<Vec<CoreResult<Vec<OfferOutcome>>>> {
-        if groups.is_empty() {
-            return Ok(Vec::new());
-        }
-        self.ticks += 1;
-        let mut results: Vec<Option<CoreResult<Vec<OfferOutcome>>>> = Vec::new();
-        results.resize_with(groups.len(), || None);
-
-        // Phase 1 — admit serially in tick order. Newcomers admitted by
-        // earlier groups are folded into later groups' admission signals
-        // (total and same-class), mirroring how one serial burst's own
-        // earlier arrivals gate its later ones.
-        struct Prepared {
-            seq: usize,
-            class: TenantId,
-            outcomes: Vec<OfferOutcome>,
-            admitted: usize,
-            planned_at: Millis,
-            first_id: usize,
-            batch: Vec<PendingArrival>,
-            recalled: Vec<wisedb_sim::RecalledQuery>,
-        }
-        let mut prepared: Vec<Prepared> = Vec::new();
-        let mut carried = 0usize;
-        let mut carried_of = vec![0usize; self.classes.len()];
-        for (seq, (class, arrivals)) in groups.iter().enumerate() {
-            let class = *class;
-            let Some(sla) = self.classes.get(class.index()) else {
-                results[seq] = Some(Err(CoreError::UnknownTenantClass { class }));
-                continue;
-            };
-            if let Some(&(template, _)) = arrivals.iter().find(|&&(t, _)| !sla.allows(t)) {
-                results[seq] = Some(Err(CoreError::TemplateNotInClass { template, class }));
-                continue;
-            }
-            if arrivals.is_empty() {
-                results[seq] = Some(Ok(Vec::new()));
-                continue;
-            }
-            let (outcomes, admitted) = self.core.admit_burst(
-                class,
-                sla.priority,
-                arrivals,
-                carried,
-                carried_of[class.index()],
-            );
-            if admitted.is_empty() {
-                results[seq] = Some(Ok(outcomes));
-                continue;
-            }
-            carried += admitted.len();
-            carried_of[class.index()] += admitted.len();
-            let planned_at = admitted[admitted.len() - 1].1;
-            let (first_id, batch, recalled) = self.core.prepare_batch(class, &admitted);
-            prepared.push(Prepared {
-                seq,
-                class,
-                outcomes,
-                admitted: admitted.len(),
-                planned_at,
-                first_id,
-                batch,
-                recalled,
-            });
-        }
-        if prepared.is_empty() {
-            self.maybe_rebalance();
-            return Ok(results
-                .into_iter()
-                .map(|r| r.expect("every group settled"))
-                .collect());
-        }
-
-        // Phase 2 — one epoch snapshot, fanned out by class assignment.
-        self.epoch += 1;
-        let snap = self.core.cluster.snapshot();
-        let open_target = snap.open_vm.as_ref().map(|(index, _)| *index);
-        let target_type = snap.open_vm.as_ref().map(|(_, view)| view.vm_type);
-        let view = Arc::new(ClusterView {
-            vms_rented: snap.vms_provisioned as u32,
-            open_vm: snap.open_vm.map(|(_, view)| view),
-        });
-
-        let mut meta: Vec<(
-            usize,
-            Vec<OfferOutcome>,
-            usize,
-            usize,
-            Vec<wisedb_sim::RecalledQuery>,
-        )> = Vec::new();
-        let mut by_shard: Vec<Vec<PlanTask>> =
-            (0..self.config.shards).map(|_| Vec::new()).collect();
-        for p in prepared {
-            let shard = self.assignment[p.class.index()];
-            let scheduler = self.schedulers[p.class.index()]
-                .take()
-                .expect("one scheduler per class, taken at most once per tick");
-            by_shard[shard].push(PlanTask {
-                seq: p.seq,
-                class: p.class,
-                scheduler,
-                batch: p.batch,
-                planned_at: p.planned_at,
-            });
-            meta.push((p.seq, p.outcomes, p.admitted, p.first_id, p.recalled));
-        }
-        let mut jobs_sent = 0usize;
-        for (shard, tasks) in by_shard.into_iter().enumerate() {
-            if tasks.is_empty() {
-                continue;
-            }
-            self.shard_decisions[shard] += tasks.len() as u64;
-            self.decisions += tasks.len() as u64;
-            wisedb_obs::counter_add("wisedb_shard_decisions_total", tasks.len() as u64);
-            let job = ShardJob {
-                shard,
-                epoch: self.epoch,
-                view: Arc::clone(&view),
-                tasks,
-            };
-            self.workers[shard]
-                .tx
-                .as_ref()
-                .expect("workers hold their sender until drop")
-                .send(job)
-                .map_err(|_| CoreError::InconsistentPlan {
-                    detail: format!("shard {shard} worker is gone"),
-                })?;
-            jobs_sent += 1;
-        }
-        let mut planned: Vec<PlannedTask> = Vec::new();
-        let mut loads: Vec<(usize, TenantId, f64)> = Vec::new();
-        for _ in 0..jobs_sent {
-            let done = self
-                .done_rx
-                .recv()
-                .map_err(|_| CoreError::InconsistentPlan {
-                    detail: "a shard worker died mid-epoch".to_string(),
-                })?;
-            for task in &done.tasks {
-                let load = match self.config.signal {
-                    LoadSignal::PlanTime => task.plan_secs * 1e6,
-                    LoadSignal::BatchSize => task.batch_len as f64,
-                };
-                loads.push((done.shard, task.class, load));
-            }
-            wisedb_obs::observe_us("wisedb_shard_plan_us", done.plan_us);
-            planned.extend(done.tasks);
-        }
-        planned.sort_by_key(|t| t.seq);
-
-        // Phase 3 — merge in tick order: validate + apply each plan
-        // against the live cluster; assignments before a plan's first
-        // provision target the epoch's open VM.
-        let mut merge_span = wisedb_obs::span("shard.merge");
-        if merge_span.recording() {
-            merge_span.attr_u64("epoch", self.epoch);
-            merge_span.attr_u64("plans", planned.len() as u64);
-            merge_span.virt(snap.now);
-        }
-        for task in planned {
-            let PlannedTask {
-                seq,
-                class,
-                scheduler,
-                result,
-                plan_secs,
-                ..
-            } = task;
-            self.schedulers[class.index()] = Some(scheduler);
-            let (_, outcomes, admitted, first_id, recalled) = meta
-                .iter()
-                .position(|(s, ..)| *s == seq)
-                .map(|i| meta.swap_remove(i))
-                .expect("every planned task was prepared");
-            let group_result = match result {
-                Ok(plan) => {
-                    self.core.metrics.decision(plan_secs);
-                    wisedb_obs::observe_us("wisedb_runtime_decision_us", (plan_secs * 1e6) as u64);
-                    match self.core.validate_plan(&plan, target_type) {
-                        Ok(()) => self
-                            .core
-                            .apply_plan(class, plan, open_target, admitted)
-                            .map(|()| {
-                                self.merged_plans += 1;
-                                wisedb_obs::counter_add("wisedb_shard_merged_plans_total", 1);
-                                outcomes
-                            }),
-                        Err(err) => self.core.rollback_offer(recalled, first_id, admitted, err),
-                    }
-                }
-                Err(err) => self.core.rollback_offer(recalled, first_id, admitted, err),
-            };
-            results[seq] = Some(group_result);
-        }
-        drop(merge_span);
-
-        self.fold_load(&loads);
-        self.maybe_rebalance();
-        Ok(results
-            .into_iter()
-            .map(|r| r.expect("every group settled"))
-            .collect())
-    }
-
-    /// Replays a class-tagged arrival stream in ticks of up to
-    /// `tick_size` arrivals: each chunk is grouped by class (one group
-    /// per class, first-appearance order) and processed as one
-    /// [`offer_tick`](Self::offer_tick), then the cluster drains. With
-    /// `tick_size <= 1` every arrival is its own one-group tick, which is
-    /// bit-identical to [`WorkloadService::run_stream`].
-    pub fn run_ticked(
-        &mut self,
-        stream: &[ArrivingQuery],
-        tick_size: usize,
-    ) -> CoreResult<StreamReport> {
-        let tick_size = tick_size.max(1);
-        for chunk in stream.chunks(tick_size) {
-            let mut groups: Vec<TickGroup> = Vec::new();
-            for q in chunk {
-                match groups.iter_mut().find(|(c, _)| *c == q.class) {
-                    Some((_, arrivals)) => arrivals.push((q.template, q.arrival)),
-                    None => groups.push((q.class, vec![(q.template, q.arrival)])),
-                }
-            }
-            if let [(class, arrivals)] = &groups[..] {
-                // One class in the chunk: nothing to fan out — take the
-                // inline fast path (the unsharded pipeline verbatim).
-                self.offer_batch_as(*class, arrivals)?;
-            } else {
-                for result in self.offer_tick(&groups)? {
-                    result?;
-                }
-            }
-        }
-        self.drain();
-        Ok(StreamReport {
-            snapshots: Vec::new(),
-            last: self.snapshot(),
-            completions: self.core.completions.clone(),
-        })
-    }
-
-    /// Replays an explicit arrival stream one arrival at a time — the
-    /// unsharded [`WorkloadService::run_stream`] loop on the sharded
-    /// fast path.
-    pub fn run_stream(&mut self, stream: &[ArrivingQuery]) -> CoreResult<StreamReport> {
-        self.run_ticked(stream, 1)
+        self.maybe_rebalance(config, now);
     }
 
     /// Folds one tick's per-(shard, class) load observations into the
     /// EMAs. Every shard decays each tick — idle shards drift toward
     /// zero, so a shard whose classes went quiet eventually reads cold.
     fn fold_load(&mut self, loads: &[(usize, TenantId, f64)]) {
-        let alpha = self.config.ema_alpha.clamp(0.0, 1.0);
-        let mut shard_load = vec![0.0f64; self.config.shards];
-        let mut class_load = vec![0.0f64; self.classes.len()];
+        let mut shard_load = vec![0.0f64; self.shard_ema.len()];
+        let mut class_load = vec![0.0f64; self.class_ema.len()];
         for &(shard, class, load) in loads {
             shard_load[shard] += load;
             class_load[class.index()] += load;
         }
         for (ema, load) in self.shard_ema.iter_mut().zip(&shard_load) {
-            *ema = alpha * load + (1.0 - alpha) * *ema;
+            *ema = EMA_ALPHA * load + (1.0 - EMA_ALPHA) * *ema;
         }
         for (ema, load) in self.class_ema.iter_mut().zip(&class_load) {
-            *ema = alpha * load + (1.0 - alpha) * *ema;
+            *ema = EMA_ALPHA * load + (1.0 - EMA_ALPHA) * *ema;
         }
     }
 
@@ -878,16 +231,17 @@ impl ShardedService {
     /// the hottest shard's EMA exceeds the coldest's by the skew
     /// threshold and the hot shard has at least two classes, move its
     /// hottest class to the coldest shard. Because plans are a function
-    /// of (snapshot, batch, class scheduler) and merges run in tick
+    /// of (epoch view, batch, class scheduler) and merges run in tick
     /// order, moving a class never changes any output — only where its
     /// plans are computed.
-    fn maybe_rebalance(&mut self) {
-        let every = self.config.rebalance_every;
-        if self.config.shards < 2 || every == 0 || self.ticks % every != 0 {
+    fn maybe_rebalance(&mut self, config: &ShardConfig, now: Millis) {
+        let every = config.rebalance_every;
+        let shards = self.shard_ema.len();
+        if shards < 2 || every == 0 || self.ticks % every != 0 {
             return;
         }
         let (mut hot, mut cold) = (0usize, 0usize);
-        for s in 1..self.config.shards {
+        for s in 1..shards {
             if self.shard_ema[s] > self.shard_ema[hot] {
                 hot = s;
             }
@@ -895,7 +249,7 @@ impl ShardedService {
                 cold = s;
             }
         }
-        if hot == cold || self.shard_ema[hot] <= self.config.skew_threshold * self.shard_ema[cold] {
+        if hot == cold || self.shard_ema[hot] <= config.skew_threshold * self.shard_ema[cold] {
             return;
         }
         let mover = (0..self.assignment.len())
@@ -914,7 +268,7 @@ impl ShardedService {
         self.rebalances += 1;
         wisedb_obs::counter_add("wisedb_shard_rebalances_total", 1);
         wisedb_obs::instant("shard.rebalance")
-            .virt(self.core.cluster.now())
+            .virt(now)
             .attr_u64("class", mover as u64)
             .attr_u64("from", hot as u64)
             .attr_u64("to", cold as u64)
@@ -922,12 +276,270 @@ impl ShardedService {
     }
 }
 
+/// Plans one shard's groups in order against the epoch view.
+fn plan_lane(
+    shard: usize,
+    epoch: u64,
+    view: &ClusterView,
+    prepared: &[(usize, Prepared)],
+    lane: Vec<(usize, &mut OnlineScheduler)>,
+) -> Vec<Planned> {
+    let mut span = wisedb_obs::span("shard.plan");
+    if span.recording() {
+        span.attr_u64("shard", shard as u64);
+        span.attr_u64("epoch", epoch);
+        span.attr_u64("groups", lane.len() as u64);
+    }
+    let started = Instant::now();
+    let planned = lane
+        .into_iter()
+        .map(|(i, scheduler)| {
+            let group = &prepared[i].1;
+            let t0 = Instant::now();
+            let result = scheduler.plan_arrivals(view, &group.batch, group.planned_at);
+            (i, result, t0.elapsed().as_secs_f64())
+        })
+        .collect();
+    drop(span);
+    wisedb_obs::observe_us("wisedb_shard_plan_us", started.elapsed().as_micros() as u64);
+    planned
+}
+
+/// Plans every lane of one tick: shard 0's on the calling thread, each
+/// other non-empty lane on a scoped thread of its own. Each thread is
+/// joined explicitly; a lane whose thread panicked answers each of its
+/// groups with a typed error instead.
+fn plan_tick(
+    epoch: u64,
+    view: &ClusterView,
+    prepared: &[(usize, Prepared)],
+    lanes: Vec<Vec<(usize, &mut OnlineScheduler)>>,
+) -> Vec<Planned> {
+    std::thread::scope(|scope| {
+        let mut lanes = lanes.into_iter().enumerate();
+        let home = lanes.next();
+        let spawned: Vec<_> = lanes
+            .filter(|(_, lane)| !lane.is_empty())
+            .map(|(shard, lane)| {
+                let groups: Vec<usize> = lane.iter().map(|&(i, _)| i).collect();
+                let handle = scope.spawn(move || plan_lane(shard, epoch, view, prepared, lane));
+                (shard, groups, handle)
+            })
+            .collect();
+        let mut planned = match home {
+            Some((shard, lane)) if !lane.is_empty() => {
+                plan_lane(shard, epoch, view, prepared, lane)
+            }
+            _ => Vec::new(),
+        };
+        for (shard, groups, handle) in spawned {
+            match handle.join() {
+                Ok(lane) => planned.extend(lane),
+                Err(_) => planned.extend(groups.into_iter().map(|i| {
+                    let err = CoreError::InconsistentPlan {
+                        detail: format!("shard {shard}'s planning thread panicked"),
+                    };
+                    (i, Err(err), 0.0)
+                })),
+            }
+        }
+        planned
+    })
+}
+
+impl WorkloadService {
+    /// Processes one scheduling tick: admit every group in tick order,
+    /// take one epoch view of the cluster, plan the groups on their
+    /// classes' shards, and merge the plans back in tick order. Returns
+    /// one verdict list per input group, aligned with `groups`. A group
+    /// whose class is unknown or already appeared earlier in the tick,
+    /// whose template falls outside the class subset, or whose plan fails
+    /// gets an `Err`; the other groups proceed (a failed group rolls back
+    /// its recall, like a failed lone burst). A planning thread that
+    /// panics fails its shard's groups the same way.
+    ///
+    /// Groups should be tick-ordered (non-decreasing first-arrival
+    /// times), with each class in at most one group. A one-group tick is
+    /// exactly [`offer_batch_as`](Self::offer_batch_as).
+    pub fn offer_tick(&mut self, groups: &[TickGroup]) -> Vec<CoreResult<Vec<OfferOutcome>>> {
+        if let [(class, arrivals)] = groups {
+            return vec![self.offer_batch_as(*class, arrivals)];
+        }
+        if groups.is_empty() {
+            return Vec::new();
+        }
+        let mut results: Vec<CoreResult<Vec<OfferOutcome>>> =
+            groups.iter().map(|_| Ok(Vec::new())).collect();
+
+        // Phase 1 — admit serially in tick order. Newcomers admitted by
+        // earlier groups are folded into later groups' admission signals,
+        // mirroring how one serial burst's own earlier arrivals gate its
+        // later ones.
+        let mut seen = vec![false; self.scheduler.num_classes()];
+        let mut prepared: Vec<(usize, Prepared)> = Vec::new();
+        let mut carried = 0usize;
+        for (seq, (class, arrivals)) in groups.iter().enumerate() {
+            let class = *class;
+            let sla = match self.scheduler.class(class) {
+                Ok(sla) => sla,
+                Err(err) => {
+                    results[seq] = Err(err);
+                    continue;
+                }
+            };
+            if std::mem::replace(&mut seen[class.index()], true) {
+                results[seq] = Err(CoreError::RepeatedTickClass { class });
+                continue;
+            }
+            if let Some(&(template, _)) = arrivals.iter().find(|&&(t, _)| !sla.allows(t)) {
+                results[seq] = Err(CoreError::TemplateNotInClass { template, class });
+                continue;
+            }
+            let (outcomes, admitted) =
+                self.core
+                    .admit_burst(class, sla.priority, arrivals, carried);
+            if admitted.is_empty() {
+                results[seq] = Ok(outcomes);
+                continue;
+            }
+            carried += admitted.len();
+            prepared.push((seq, self.core.prepare_batch(class, outcomes, &admitted)));
+        }
+        if !prepared.is_empty() {
+            self.plan_and_merge(prepared, &mut results);
+        }
+        self.shard
+            .end_tick(&self.core.config.shards, self.core.cluster.now());
+        results
+    }
+
+    /// Phases 2 and 3 of [`offer_tick`](Self::offer_tick) for the groups
+    /// that admitted at least one arrival.
+    fn plan_and_merge(
+        &mut self,
+        prepared: Vec<(usize, Prepared)>,
+        results: &mut [CoreResult<Vec<OfferOutcome>>],
+    ) {
+        // Phase 2 — one epoch view; each class's scheduler joins the lane
+        // of the shard that owns it (each class has at most one group).
+        self.shard.epochs += 1;
+        let epoch = self.shard.epochs;
+        let view = self.core.planning_view();
+        let mut group_of = vec![None; self.scheduler.num_classes()];
+        for (i, (_, group)) in prepared.iter().enumerate() {
+            group_of[group.class.index()] = Some(i);
+        }
+        let mut lanes: Vec<Vec<(usize, &mut OnlineScheduler)>> =
+            (0..self.core.config.shards.shards)
+                .map(|_| Vec::new())
+                .collect();
+        for (class, scheduler) in self.scheduler.schedulers_mut().iter_mut().enumerate() {
+            if let Some(i) = group_of[class] {
+                lanes[self.shard.assignment[class]].push((i, scheduler));
+            }
+        }
+        for (shard, lane) in lanes.iter().enumerate() {
+            self.shard.shard_decisions[shard] += lane.len() as u64;
+        }
+        self.shard.decisions += prepared.len() as u64;
+        wisedb_obs::counter_add("wisedb_shard_decisions_total", prepared.len() as u64);
+
+        // Every group sits in exactly one lane, so sorting by position
+        // lines the plans up with `prepared`.
+        let mut plans = plan_tick(epoch, &view.cluster, &prepared, lanes);
+        plans.sort_by_key(|&(i, ..)| i);
+
+        // Phase 3 — merge in tick order: validate + apply each plan
+        // against the live cluster; assignments before a plan's first
+        // provision target the epoch's open VM.
+        let mut merge_span = wisedb_obs::span("shard.merge");
+        if merge_span.recording() {
+            merge_span.attr_u64("epoch", epoch);
+            merge_span.attr_u64("plans", prepared.len() as u64);
+            merge_span.virt(self.core.cluster.now());
+        }
+        let mut loads = Vec::with_capacity(prepared.len());
+        for ((seq, group), (_, planned, secs)) in prepared.into_iter().zip(plans) {
+            let class = group.class;
+            let load = self.core.config.shards.load(secs, group.batch.len());
+            loads.push((self.shard.assignment[class.index()], class, load));
+            let result = self.core.settle(group, planned, secs, &view);
+            if result.is_ok() {
+                self.shard.merged_plans += 1;
+                wisedb_obs::counter_add("wisedb_shard_merged_plans_total", 1);
+            }
+            results[seq] = result;
+        }
+        drop(merge_span);
+        self.shard.fold_load(&loads);
+    }
+
+    /// Replays a class-tagged arrival stream in ticks of up to
+    /// `tick_size` arrivals: each chunk is grouped by class (one group
+    /// per class, first-appearance order) and processed as one
+    /// [`offer_tick`](Self::offer_tick), then the cluster drains. With
+    /// `tick_size <= 1` every arrival is its own one-group tick, which is
+    /// bit-identical to [`run_stream`](Self::run_stream).
+    pub fn run_ticked(
+        &mut self,
+        stream: &[ArrivingQuery],
+        tick_size: usize,
+    ) -> CoreResult<StreamReport> {
+        for chunk in stream.chunks(tick_size.max(1)) {
+            let mut groups: Vec<TickGroup> = Vec::new();
+            for q in chunk {
+                match groups.iter_mut().find(|(c, _)| *c == q.class) {
+                    Some((_, arrivals)) => arrivals.push((q.template, q.arrival)),
+                    None => groups.push((q.class, vec![(q.template, q.arrival)])),
+                }
+            }
+            for result in self.offer_tick(&groups) {
+                result?;
+            }
+        }
+        Ok(self.finish(Vec::new()))
+    }
+
+    /// Current class → shard assignment, indexed by [`TenantId`].
+    pub fn assignment(&self) -> &[usize] {
+        &self.shard.assignment
+    }
+
+    /// Aggregate tick counters: ticks, epochs, plan calls, merges,
+    /// rebalances, and per-shard lanes. `decisions` and `merged_plans`
+    /// are deterministic for a fixed trace and tick structure;
+    /// `rebalances` is too under [`LoadSignal::BatchSize`].
+    pub fn stats(&self) -> ShardStats {
+        let s = &self.shard;
+        let per_shard = (0..s.shard_ema.len())
+            .map(|shard| ShardLaneStats {
+                classes: (0..s.assignment.len())
+                    .filter(|&c| s.assignment[c] == shard)
+                    .map(|c| TenantId(c as u32))
+                    .collect(),
+                decisions: s.shard_decisions[shard],
+                load_ema: s.shard_ema[shard],
+            })
+            .collect();
+        ShardStats {
+            shards: s.shard_ema.len(),
+            ticks: s.ticks,
+            epochs: s.epochs,
+            decisions: s.decisions,
+            merged_plans: s.merged_plans,
+            rebalances: s.rebalances,
+            per_shard,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::arrivals::{generate_class_stream, merge_streams, PoissonProcess, TemplateMix};
-    use wisedb_advisor::ModelConfig;
-    use wisedb_core::{GoalKind, MetricsSnapshot, PerformanceGoal, VmType};
+    use crate::service::RuntimeConfig;
+    use wisedb_advisor::{ModelConfig, OnlineConfig};
+    use wisedb_core::{GoalKind, MetricsSnapshot, PerformanceGoal, SlaClass, VmType, WorkloadSpec};
 
     fn spec() -> WorkloadSpec {
         WorkloadSpec::single_vm(
@@ -950,6 +562,16 @@ mod tests {
             },
             ..RuntimeConfig::default()
         }
+    }
+
+    fn sharded(shards: ShardConfig) -> RuntimeConfig {
+        RuntimeConfig { shards, ..config() }
+    }
+
+    fn three_class_service(shards: ShardConfig) -> WorkloadService {
+        let spec = spec();
+        let classes = three_classes(&spec);
+        WorkloadService::train_classes(spec, classes, sharded(shards)).unwrap()
     }
 
     fn three_classes(spec: &WorkloadSpec) -> Vec<SlaClass> {
@@ -1000,19 +622,17 @@ mod tests {
         let mut plain = WorkloadService::train(spec.clone(), goal.clone(), config()).unwrap();
         let plain_report = plain.run_stream(&stream).unwrap();
 
-        let mut sharded = WorkloadService::train(spec, goal, config())
-            .unwrap()
-            .into_sharded(ShardConfig::default());
-        let sharded_report = sharded.run_stream(&stream).unwrap();
+        let mut ticked = WorkloadService::train(spec, goal, config()).unwrap();
+        let ticked_report = ticked.run_ticked(&stream, 1).unwrap();
 
-        assert_eq!(plain_report.completions, sharded_report.completions);
-        assert_eq!(scrub(plain_report.last), scrub(sharded_report.last));
-        let stats = sharded.stats();
+        assert_eq!(plain_report.completions, ticked_report.completions);
+        assert_eq!(scrub(plain_report.last), scrub(ticked_report.last));
+        let stats = ticked.stats();
         assert_eq!(stats.shards, 1);
         assert_eq!(stats.ticks, 20);
         assert_eq!(stats.decisions, 20);
         assert_eq!(stats.merged_plans, 20);
-        assert_eq!(stats.epochs, 0, "one-group ticks take the fast path");
+        assert_eq!(stats.epochs, 0, "one-group ticks plan inline");
     }
 
     #[test]
@@ -1024,11 +644,10 @@ mod tests {
         let mut reports = Vec::new();
         let mut stats = Vec::new();
         for shards in [1usize, 2, 3] {
-            let mut svc = ShardedService::train_classes(
+            let mut svc = WorkloadService::train_classes(
                 spec.clone(),
                 classes.clone(),
-                config(),
-                ShardConfig::with_shards(shards),
+                sharded(ShardConfig::with_shards(shards)),
             )
             .unwrap();
             reports.push(svc.run_ticked(&stream, 4).unwrap());
@@ -1057,13 +676,13 @@ mod tests {
             WorkloadService::train_classes(spec.clone(), classes.clone(), config()).unwrap();
         let plain_report = plain.run_stream(&stream).unwrap();
 
-        let mut sharded =
-            ShardedService::train_classes(spec, classes, config(), ShardConfig::with_shards(2))
+        let mut two =
+            WorkloadService::train_classes(spec, classes, sharded(ShardConfig::with_shards(2)))
                 .unwrap();
-        let sharded_report = sharded.run_ticked(&stream, 1).unwrap();
+        let two_report = two.run_ticked(&stream, 1).unwrap();
 
-        assert_eq!(plain_report.completions, sharded_report.completions);
-        assert_eq!(scrub(plain_report.last), scrub(sharded_report.last));
+        assert_eq!(plain_report.completions, two_report.completions);
+        assert_eq!(scrub(plain_report.last), scrub(two_report.last));
     }
 
     #[test]
@@ -1072,11 +691,10 @@ mod tests {
         let classes = three_classes(&spec);
         let stream = tagged_stream(10);
         let run = |shard_config: ShardConfig| {
-            let mut svc = ShardedService::train_classes(
+            let mut svc = WorkloadService::train_classes(
                 spec.clone(),
                 classes.clone(),
-                config(),
-                shard_config,
+                sharded(shard_config),
             )
             .unwrap();
             let report = svc.run_ticked(&stream, 3).unwrap();
@@ -1090,7 +708,6 @@ mod tests {
             rebalance_every: 2,
             skew_threshold: 1.01,
             signal: LoadSignal::BatchSize,
-            ..ShardConfig::default()
         };
         let frozen = ShardConfig {
             rebalance_every: 0,
@@ -1108,19 +725,13 @@ mod tests {
 
     #[test]
     fn tick_groups_fail_independently() {
-        let spec = spec();
-        let classes = three_classes(&spec);
-        let mut svc =
-            ShardedService::train_classes(spec, classes, config(), ShardConfig::with_shards(2))
-                .unwrap();
+        let mut svc = three_class_service(ShardConfig::with_shards(2));
         let at = Millis::from_secs(5);
-        let results = svc
-            .offer_tick(&[
-                (TenantId(0), vec![(TemplateId(0), at)]),
-                (TenantId(9), vec![(TemplateId(0), at)]),
-                (TenantId(1), vec![(TemplateId(1), at)]),
-            ])
-            .unwrap();
+        let results = svc.offer_tick(&[
+            (TenantId(0), vec![(TemplateId(0), at)]),
+            (TenantId(9), vec![(TemplateId(0), at)]),
+            (TenantId(1), vec![(TemplateId(1), at)]),
+        ]);
         assert_eq!(results.len(), 3);
         assert_eq!(results[0].as_ref().unwrap(), &vec![OfferOutcome::Admitted]);
         assert!(matches!(
@@ -1133,41 +744,72 @@ mod tests {
     }
 
     #[test]
-    fn into_service_round_trips_mid_session() {
-        let spec = spec();
-        let classes = three_classes(&spec);
-        let stream = tagged_stream(4);
-        let (head, tail) = stream.split_at(6);
-
-        let mut plain =
-            WorkloadService::train_classes(spec.clone(), classes.clone(), config()).unwrap();
-        for q in head {
-            plain.offer_as(q.template, q.class, q.arrival).unwrap();
+    fn a_repeated_class_fails_its_later_group_only() {
+        // A class may plan at most once per tick: its second group is
+        // rejected before anything of it is admitted, on any shard count.
+        for shards in [1usize, 2] {
+            let mut svc = three_class_service(ShardConfig::with_shards(shards));
+            let at = Millis::from_secs(5);
+            let results = svc.offer_tick(&[
+                (TenantId(0), vec![(TemplateId(0), at)]),
+                (TenantId(1), vec![(TemplateId(1), at)]),
+                (TenantId(0), vec![(TemplateId(1), at), (TemplateId(0), at)]),
+            ]);
+            assert_eq!(results.len(), 3);
+            assert_eq!(results[0].as_ref().unwrap(), &vec![OfferOutcome::Admitted]);
+            assert_eq!(results[1].as_ref().unwrap(), &vec![OfferOutcome::Admitted]);
+            assert!(matches!(
+                results[2],
+                Err(CoreError::RepeatedTickClass { class: TenantId(0) })
+            ));
+            let stats = svc.stats();
+            assert_eq!(
+                (stats.epochs, stats.decisions, stats.merged_plans),
+                (1, 2, 2)
+            );
+            svc.drain();
+            let last = svc.snapshot();
+            assert_eq!((last.admitted, last.rejected, last.completed), (2, 0, 2));
         }
-        let mut sharded = plain.into_sharded(ShardConfig::with_shards(3));
-        for q in tail {
-            sharded.offer_as(q.template, q.class, q.arrival).unwrap();
-        }
-        let mut back = sharded.into_service();
-        back.drain();
+    }
 
-        let mut reference = WorkloadService::train_classes(spec, classes, config()).unwrap();
-        let reference_report = reference.run_stream(&stream).unwrap();
-        assert_eq!(back.completions(), &reference_report.completions[..]);
-        assert_eq!(scrub(back.snapshot()), scrub(reference_report.last));
+    #[test]
+    fn a_panicking_planning_thread_fails_only_its_own_groups() {
+        // Class 0 plans on shard 0 (the calling thread), class 1 on a
+        // scoped thread whose batch names a template outside the spec, so
+        // its planner panics. The join turns that into a typed error for
+        // class 1's group alone.
+        let mut svc = three_class_service(ShardConfig::with_shards(2));
+        let group = |class: u32, template: u32| Prepared {
+            class: TenantId(class),
+            outcomes: vec![OfferOutcome::Admitted],
+            admitted: 1,
+            planned_at: Millis::from_secs(1),
+            first_id: class as usize,
+            batch: vec![wisedb_advisor::online::PendingArrival {
+                id: wisedb_core::QueryId(class),
+                template: TemplateId(template),
+                arrival: Millis::from_secs(1),
+            }],
+            recalled: Vec::new(),
+        };
+        let prepared = vec![(0, group(0, 0)), (1, group(1, 99))];
+        let (home, away) = svc.scheduler.schedulers_mut().split_at_mut(1);
+        let lanes = vec![vec![(0, &mut home[0])], vec![(1, &mut away[0])]];
+        let view = ClusterView::default();
+        let mut planned = plan_tick(1, &view, &prepared, lanes);
+        planned.sort_by_key(|&(i, ..)| i);
+        assert_eq!(planned.len(), 2);
+        assert!(planned[0].1.is_ok(), "shard 0's group plans normally");
+        assert!(matches!(
+            &planned[1].1,
+            Err(CoreError::InconsistentPlan { detail }) if detail.contains("panicked")
+        ));
     }
 
     #[test]
     fn swap_model_rejects_mismatches_and_applies_matches() {
-        let spec = spec();
-        let classes = three_classes(&spec);
-        let mut svc = ShardedService::train_classes(
-            spec.clone(),
-            classes,
-            config(),
-            ShardConfig::with_shards(2),
-        )
-        .unwrap();
+        let mut svc = three_class_service(ShardConfig::with_shards(2));
 
         // A model trained for class 1's goal fits class 1, not class 0.
         let goal = svc.classes()[1].goal.clone();

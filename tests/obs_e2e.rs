@@ -1,6 +1,6 @@
 //! The observability layer, end to end (tier 1).
 //!
-//! Three guarantees `wisedb-obs` must keep:
+//! Four guarantees `wisedb-obs` must keep:
 //!
 //! 1. **Exports are well-formed.** A traced solve renders Chrome
 //!    trace-event JSON that parses back through the vendored JSON parser
@@ -14,6 +14,9 @@
 //!    full spans recording, and off again produces bit-identical
 //!    schedules, costs, and `SearchStats` — instrumentation observes the
 //!    system, it never steers it.
+//! 4. **Traces show where ticks plan.** A one-shard service plans every
+//!    multi-class tick on the calling thread; a two-shard one plans its
+//!    second shard's groups on a scoped thread.
 //!
 //! Every test that touches the process-global collector serializes on
 //! [`wisedb::obs::testing::hold`].
@@ -107,6 +110,71 @@ fn full_span_tracing_never_changes_solver_results() {
     // ... and the traced run really was recorded.
     let totals = trace.span_totals();
     assert!(totals.contains_key("search.solve"));
+}
+
+/// Where a multi-class tick plans: with one shard every `shard.plan` span
+/// runs on the calling thread (the service owns no threads); with two,
+/// the second shard's groups plan on a scoped thread of their own.
+#[test]
+fn tick_planning_is_inline_on_one_shard_and_fans_out_on_two() {
+    let _hold = obs::testing::hold();
+    let spec = wisedb::sim::catalog::tpch_like(4);
+    let classes: Vec<SlaClass> = [GoalKind::PerQuery, GoalKind::MaxLatency]
+        .into_iter()
+        .enumerate()
+        .map(|(i, kind)| {
+            SlaClass::new(
+                format!("c{i}"),
+                PerformanceGoal::paper_default(kind, &spec).unwrap(),
+            )
+        })
+        .collect();
+    let mix = TemplateMix::uniform(spec.num_templates());
+    let stream = merge_streams(
+        (0..2u32)
+            .map(|c| {
+                let mut process = PoissonProcess::per_second(1.0 / 200.0, mix.clone());
+                generate_class_stream(&mut process, 8, 7 + c as u64, TenantId(c))
+            })
+            .collect(),
+    );
+    let plan_threads = |shards: usize| {
+        let config = RuntimeConfig {
+            online: OnlineConfig {
+                training: ModelConfig {
+                    num_samples: 32,
+                    sample_size: 5,
+                    seed: 5,
+                    ..ModelConfig::fast()
+                },
+                ..OnlineConfig::default()
+            },
+            shards: ShardConfig::with_shards(shards),
+            ..RuntimeConfig::default()
+        };
+        let mut svc =
+            WorkloadService::train_classes(spec.clone(), classes.clone(), config).unwrap();
+        let collector = obs::install(Level::Spans);
+        svc.run_ticked(&stream, 4).unwrap();
+        let trace = collector.finish();
+        assert!(
+            svc.stats().epochs > 0,
+            "the trace must hold multi-class ticks"
+        );
+        let mut tids: Vec<u64> = trace
+            .events
+            .iter()
+            .filter(|e| e.name == "shard.plan" && e.phase == obs::Phase::Begin)
+            .map(|e| e.tid)
+            .collect();
+        tids.sort_unstable();
+        tids.dedup();
+        tids
+    };
+    assert_eq!(plan_threads(1), vec![obs::current_tid()]);
+    let fanned = plan_threads(2);
+    assert!(fanned.contains(&obs::current_tid()), "shard 0 plans inline");
+    assert!(fanned.len() > 1, "shard 1 plans on a thread of its own");
 }
 
 /// Codepoints across ASCII (including every control character), Latin,

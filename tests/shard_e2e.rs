@@ -1,20 +1,20 @@
 //! Scheduler sharding, end to end (tier 1).
 //!
-//! Four guarantees the sharded scheduler must keep:
+//! Four guarantees a `WorkloadService`'s ticks must keep:
 //!
-//! 1. **1 shard == unsharded, bit-identically, for every goal kind.** A
-//!    `ShardedService` with one shard must place, time, bill, and account
-//!    every query exactly like the unsharded `WorkloadService` it wraps —
-//!    the singleton-tick fast path literally *is* the unsharded pipeline.
-//! 2. **Shard count is invisible.** Multi-class ticks fan out to worker
+//! 1. **Singleton ticks == per-arrival offers, bit-identically, for every
+//!    goal kind.** A ticked replay whose ticks hold one arrival each must
+//!    place, time, bill, and account every query exactly like
+//!    `run_stream` — a one-group tick literally *is* `offer_batch_as`.
+//! 2. **Shard count is invisible.** Multi-class ticks plan on scoped
 //!    threads, but the merge applies plans in tick order, so completions
 //!    and metrics are identical across any shard count.
 //! 3. **Rebalancing moves classes, not outcomes.** An eager rebalancer
 //!    (deterministic batch-size signal) must fire without perturbing any
 //!    per-class metric row, and the rows keep partitioning the fleet
 //!    totals.
-//! 4. **The wire keeps all of it.** A sharded server replays a lockstep
-//!    trace verdict-for-verdict like the in-process unsharded service,
+//! 4. **The wire keeps all of it.** A 2-shard server replays a lockstep
+//!    trace verdict-for-verdict like the in-process 1-shard service,
 //!    and a tiny command-queue depth converts overflow into typed `Shed`
 //!    frames — every concurrent request gets exactly one answer, never a
 //!    dropped connection.
@@ -22,7 +22,7 @@
 use wisedb::prelude::*;
 use wisedb::runtime::{generate_class_stream, generate_stream, OfferOutcome};
 use wisedb_core::ArrivingQuery;
-use wisedb_runtime::{LoadSignal, ShardConfig, ShardedService};
+use wisedb_runtime::LoadSignal;
 use wisedb_serve::{Client, ServeConfig, Server};
 
 fn spec() -> WorkloadSpec {
@@ -47,6 +47,10 @@ fn config() -> RuntimeConfig {
         },
         ..RuntimeConfig::default()
     }
+}
+
+fn sharded(shards: ShardConfig) -> RuntimeConfig {
+    RuntimeConfig { shards, ..config() }
 }
 
 fn three_classes(spec: &WorkloadSpec) -> Vec<SlaClass> {
@@ -92,9 +96,9 @@ fn scrub(mut snapshot: MetricsSnapshot) -> MetricsSnapshot {
 }
 
 /// Guarantee 1: for every goal kind — including the percentile goal,
-/// whose model is the heaviest — the 1-shard sharded service reproduces
-/// the unsharded service bit for bit on the same fixed-seed trace, and
-/// never pays a fan-out epoch doing it.
+/// whose model is the heaviest — a 1-shard ticked replay reproduces the
+/// per-arrival replay bit for bit on the same fixed-seed trace, and never
+/// pays an epoch doing it.
 #[test]
 fn one_shard_replay_is_bit_identical_to_unsharded_for_every_goal_kind() {
     let spec = spec();
@@ -109,30 +113,28 @@ fn one_shard_replay_is_bit_identical_to_unsharded_for_every_goal_kind() {
             WorkloadService::train_classes(spec.clone(), classes.clone(), config()).unwrap();
         let plain_report = plain.run_stream(&stream).unwrap();
 
-        let mut sharded = ShardedService::train_classes(
+        let mut ticked = WorkloadService::train_classes(
             spec.clone(),
             classes,
-            config(),
-            ShardConfig::with_shards(1),
+            sharded(ShardConfig::with_shards(1)),
         )
         .unwrap();
-        let sharded_report = sharded.run_stream(&stream).unwrap();
+        let ticked_report = ticked.run_ticked(&stream, 1).unwrap();
 
         assert_eq!(
-            sharded_report.completions,
+            ticked_report.completions,
             plain_report.completions,
             "{}: 1-shard changed a placement or finish time",
             kind.name()
         );
         assert_eq!(
-            scrub(sharded_report.last),
+            scrub(ticked_report.last),
             scrub(plain_report.last),
             "{}: 1-shard changed the metrics",
             kind.name()
         );
-        // Singleton ticks ride the shared unsharded pipeline directly:
-        // no snapshot epoch, no worker round trip.
-        let stats = sharded.stats();
+        // Singleton ticks plan inline: no epoch, no thread.
+        let stats = ticked.stats();
         assert_eq!(stats.epochs, 0, "{}", kind.name());
         assert_eq!(stats.decisions, stats.merged_plans, "{}", kind.name());
     }
@@ -147,11 +149,10 @@ fn ticked_replay_is_deterministic_across_shard_counts() {
     let spec = spec();
     let stream = tagged_stream(&spec, 10);
     let run = |shards: usize| {
-        let mut svc = ShardedService::train_classes(
+        let mut svc = WorkloadService::train_classes(
             spec.clone(),
             three_classes(&spec),
-            config(),
-            ShardConfig::with_shards(shards),
+            sharded(ShardConfig::with_shards(shards)),
         )
         .unwrap();
         let report = svc.run_ticked(&stream, 4).unwrap();
@@ -174,7 +175,7 @@ fn ticked_replay_is_deterministic_across_shard_counts() {
         // Same plans, same work — only the lanes differ.
         assert_eq!(stats.decisions, base_stats.decisions);
         assert_eq!(stats.merged_plans, base_stats.merged_plans);
-        assert!(stats.epochs > 0, "multi-group ticks must fan out");
+        assert!(stats.epochs > 0, "multi-group ticks must take epochs");
     }
 }
 
@@ -187,17 +188,15 @@ fn rebalancing_preserves_per_class_metric_sums() {
     let spec = spec();
     let stream = tagged_stream(&spec, 10);
     let run = |rebalance_every: u64| {
-        let mut svc = ShardedService::train_classes(
+        let mut svc = WorkloadService::train_classes(
             spec.clone(),
             three_classes(&spec),
-            config(),
-            ShardConfig {
+            sharded(ShardConfig {
                 shards: 2,
                 rebalance_every,
                 skew_threshold: 1.01,
                 signal: LoadSignal::BatchSize,
-                ..ShardConfig::default()
-            },
+            }),
         )
         .unwrap();
         let report = svc.run_ticked(&stream, 4).unwrap();
@@ -229,9 +228,9 @@ fn rebalancing_preserves_per_class_metric_sums() {
     assert!(penalty.approx_eq(last.penalty, 1e-9));
 }
 
-/// Guarantee 4a: a *sharded* server replays a lockstep trace with the
-/// same verdict per arrival and the same final metrics as the in-process
-/// unsharded service — each lockstep offer is a singleton tick, so the
+/// Guarantee 4a: a 2-shard server replays a lockstep trace with the same
+/// verdict per arrival and the same final metrics as the in-process
+/// 1-shard service — each lockstep offer is a singleton tick, so the
 /// shared pipeline keeps the wire bit-identical.
 #[test]
 fn sharded_server_matches_in_process_unsharded_replay() {
@@ -250,16 +249,13 @@ fn sharded_server_matches_in_process_unsharded_replay() {
         });
     }
 
-    let served =
-        WorkloadService::train_classes(spec.clone(), three_classes(&spec), config()).unwrap();
-    let handle = Server::spawn(
-        served,
-        ServeConfig {
-            shards: 2,
-            ..ServeConfig::default()
-        },
+    let served = WorkloadService::train_classes(
+        spec.clone(),
+        three_classes(&spec),
+        sharded(ShardConfig::with_shards(2)),
     )
     .unwrap();
+    let handle = Server::spawn(served, ServeConfig::default()).unwrap();
     let mut client = Client::connect(handle.addr()).unwrap();
     let wire_outcomes: Vec<OfferOutcome> = stream
         .iter()
@@ -283,12 +279,15 @@ fn sharded_server_matches_in_process_unsharded_replay() {
 #[test]
 fn tiny_queue_depth_sheds_overflow_without_dropping_requests() {
     let spec = spec();
-    let service =
-        WorkloadService::train_classes(spec.clone(), three_classes(&spec), config()).unwrap();
+    let service = WorkloadService::train_classes(
+        spec.clone(),
+        three_classes(&spec),
+        sharded(ShardConfig::with_shards(2)),
+    )
+    .unwrap();
     let handle = Server::spawn(
         service,
         ServeConfig {
-            shards: 2,
             queue_depth: 1,
             ..ServeConfig::default()
         },
