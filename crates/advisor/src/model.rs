@@ -547,7 +547,14 @@ impl ModelGenerator {
                 } else {
                     solver
                 };
-                let (solved, explored) = solver.solve_with_explored(&workload)?;
+                // Only a monotone goal's settled g-values are ever read
+                // (`SolvedEntry::seeds_memo`), so other goals skip
+                // recording them.
+                let (solved, explored) = if reuse {
+                    solver.solve_with_explored(&workload)?
+                } else {
+                    (solver.solve(&workload)?, Vec::new())
+                };
                 wisedb_obs::counter_add("wisedb_train_solves_total", 1);
                 entries.push(Arc::new(SolvedEntry::from_solve(
                     &self.spec, &self.goal, schema, &solved, explored,

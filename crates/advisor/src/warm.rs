@@ -153,6 +153,10 @@ struct Fingerprint {
     search: SearchConfig,
 }
 
+/// Why the cache lock can be poisoned: only a panic while it is held,
+/// which means a training worker panicked mid-plan or mid-commit.
+const POISONED: &str = "solve cache lock poisoned: a training worker panicked while holding it";
+
 struct CacheInner {
     entries: HashMap<Signature, Arc<SolvedEntry>>,
     /// Insertion order, for deterministic FIFO eviction.
@@ -198,14 +202,14 @@ impl SolveCache {
         goal: &PerformanceGoal,
         search: &SearchConfig,
     ) -> bool {
-        let inner = self.inner.lock().unwrap();
+        let inner = self.inner.lock().expect(POISONED);
         let fp = &inner.fingerprint;
         *fp.spec == **spec && *fp.goal == *goal && fp.search == *search
     }
 
     /// Distinct signatures currently cached.
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().entries.len()
+        self.inner.lock().expect(POISONED).entries.len()
     }
 
     /// `true` iff no signature is cached.
@@ -215,18 +219,18 @@ impl SolveCache {
 
     /// The capacity bound (distinct signatures).
     pub fn capacity(&self) -> usize {
-        self.inner.lock().unwrap().capacity
+        self.inner.lock().expect(POISONED).capacity
     }
 
     /// Vertices in the shared heuristic memo.
     pub fn memo_len(&self) -> usize {
-        self.inner.lock().unwrap().memo.len()
+        self.inner.lock().expect(POISONED).memo.len()
     }
 
     /// Lifetime `(cache hits, A* solves)` across every run served by this
     /// cache.
     pub fn counters(&self) -> (u64, u64) {
-        let inner = self.inner.lock().unwrap();
+        let inner = self.inner.lock().expect(POISONED);
         (inner.hits, inner.solves)
     }
 
@@ -239,7 +243,7 @@ impl SolveCache {
     /// solves, so an all-hit run (the warm steady state) skips cloning a
     /// potentially large memo without affecting any result.
     pub(crate) fn plan(&self, sigs: Vec<Signature>) -> RunPlan {
-        let inner = self.inner.lock().unwrap();
+        let inner = self.inner.lock().expect(POISONED);
         let mut missing: Vec<Signature> = Vec::new();
         let mut missing_index: HashMap<Signature, usize> = HashMap::new();
         let lookups = sigs
@@ -277,7 +281,7 @@ impl SolveCache {
     /// every entry they were promised.
     pub(crate) fn commit(&self, missing: Vec<Signature>, solved: Vec<Arc<SolvedEntry>>, hits: u64) {
         debug_assert_eq!(missing.len(), solved.len());
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.inner.lock().expect(POISONED);
         inner.hits += hits;
         inner.solves += solved.len() as u64;
         for (sig, entry) in missing.into_iter().zip(solved) {
@@ -304,7 +308,7 @@ impl SolveCache {
 
 impl std::fmt::Debug for SolveCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.lock().unwrap();
+        let inner = self.inner.lock().expect(POISONED);
         f.debug_struct("SolveCache")
             .field("entries", &inner.entries.len())
             .field("capacity", &inner.capacity)

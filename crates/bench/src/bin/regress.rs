@@ -13,7 +13,9 @@
 //! serve layer's wire loop (loopback TCP, exact admit/shed counters plus
 //! round-trip percentiles), and the warm-training guard (cold train vs
 //! warm retrain through the solve cache: solve/dedup/row/node counters
-//! exact, zero-solve warm retrain asserted) — plus the observability
+//! exact, zero-solve warm retrain asserted), the in-path retrain kernel
+//! (a cold train on an aged-template Average spec: row/node/depth/solve
+//! counters exact, the tree refit asserted bit-identical) — plus the observability
 //! guard (the same
 //! stream run at every tracing level: identical outcomes asserted, trace
 //! shape compared exactly, overhead recorded) — writes
@@ -591,6 +593,96 @@ fn train_warm(scale: Scale, out: &mut Vec<Measurement>) {
     );
 }
 
+/// The in-path retrain kernel: the cold train an online scheduler runs for
+/// an aged batch under the Reuse cache — the Average goal on the
+/// TPC-H-like spec augmented with eight templates aged one hour (the
+/// augmented-view shape the multi-class runtime retrains), 150 × 9
+/// samples. Rows, nodes, depth and solves are exact counters; `cold_ms`
+/// times the whole train and `fit_ms` (median of five) the tree fit
+/// alone, refitted on the same rows — asserted to reproduce the model's
+/// tree bit for bit.
+fn train_aged(out: &mut Vec<Measurement>) {
+    let base = wisedb::sim::catalog::tpch_like(10);
+    let goal = PerformanceGoal::paper_default(GoalKind::AverageLatency, &base).unwrap();
+    let wait = Millis::from_secs(3600);
+    let mut spec = base.clone();
+    for t in &base.templates()[..8] {
+        spec = spec
+            .with_extra_template(QueryTemplate {
+                name: format!("{}+{wait}", t.name),
+                latencies: t.latencies.iter().map(|l| l.map(|l| l + wait)).collect(),
+            })
+            .unwrap();
+    }
+    let config = ModelConfig {
+        num_samples: 150,
+        sample_size: 9,
+        seed: 0xBE7C4,
+        ..ModelConfig::fast()
+    };
+    let bench = format!("train_aged/{}x{}", config.num_samples, config.sample_size);
+    let generator = ModelGenerator::new(spec.clone(), goal.clone(), config.clone());
+
+    let started = std::time::Instant::now();
+    let model = generator.train().unwrap();
+    let cold_ms = ms(started.elapsed());
+
+    // The training rows again: each sample solved on its canonical
+    // workload, as training does (a duplicate signature solves to the
+    // same path, so skipping the dedup changes no row).
+    let solver = Solver::new(&spec, &goal).with_config(config.search_for(&goal));
+    let paths: Vec<_> = generator
+        .sample_workloads()
+        .iter()
+        .map(|w| {
+            let counts = w.template_counts(spec.num_templates());
+            solver.solve(&Workload::from_counts(&counts)).unwrap()
+        })
+        .collect();
+    let dataset = wisedb::learn::Dataset::from_paths(&spec, &goal, &paths);
+    assert_eq!(dataset.len(), model.stats().num_rows);
+    let mut fits: Vec<f64> = (0..5)
+        .map(|_| {
+            let started = std::time::Instant::now();
+            let tree = wisedb::learn::DecisionTree::train(&dataset, &config.tree);
+            let elapsed = ms(started.elapsed());
+            assert_eq!(&tree, model.tree(), "refit diverged from the trained model");
+            elapsed
+        })
+        .collect();
+    fits.sort_by(f64::total_cmp);
+    let fit_ms = fits[2];
+
+    for (metric, value, kind) in [
+        ("cold_ms", cold_ms, MetricKind::Time),
+        ("fit_ms", fit_ms, MetricKind::Time),
+        ("solves", model.stats().solves as f64, MetricKind::Counter),
+        (
+            "dataset_rows",
+            model.stats().num_rows as f64,
+            MetricKind::Counter,
+        ),
+        (
+            "tree_nodes",
+            model.tree().num_nodes() as f64,
+            MetricKind::Counter,
+        ),
+        (
+            "tree_depth",
+            model.tree().depth() as f64,
+            MetricKind::Counter,
+        ),
+    ] {
+        out.push(Measurement::new(&bench, metric, value, kind));
+    }
+    eprintln!(
+        "  {bench}: cold {cold_ms:.1}ms ({} solves, {} rows), fit {fit_ms:.1}ms ({} nodes)",
+        model.stats().solves,
+        model.stats().num_rows,
+        model.tree().num_nodes(),
+    );
+}
+
 /// The observability guard: the same deterministic in-process stream run
 /// with tracing **off**, **counters-only**, and with **full spans**.
 ///
@@ -771,6 +863,7 @@ fn main() {
     shard_loop(scale, &mut measurements);
     serve_loop(scale, &mut measurements);
     train_warm(scale, &mut measurements);
+    train_aged(&mut measurements);
     // Last: it flips the global tracing level, and nothing after it may
     // record under the instrumented levels.
     obs_overhead(scale, &mut measurements);

@@ -16,12 +16,15 @@
 //!   implemented).
 //!
 //! Induction presorts each feature column once at the root and keeps every
-//! node's rows contiguous and value-sorted in those arrays by stably
-//! partitioning the node's span at each split, so split search is a linear
-//! scan instead of an `O(n log n)` per-node, per-feature sort. Candidate
-//! thresholds sit between distinct values and their prefix label counts are
-//! tie-order independent, so this picks exactly the splits the sort-per-node
-//! builder picked.
+//! node's rows contiguous and value-sorted in per-feature columns (row ids
+//! and value ranks) by stably partitioning the node's span at each split, so
+//! split search is a linear scan instead of an `O(n log n)` per-node,
+//! per-feature sort. Candidate thresholds sit between distinct values and
+//! their prefix label counts are tie-order independent, so this picks
+//! exactly the splits the sort-per-node builder picked. Each candidate is
+//! screened in O(1) with exact fixed-point sums of `c·log₂c`, and only the
+//! few the screen cannot rule out are evaluated with the exact entropy
+//! arithmetic — see [`SCREEN_MARGIN`] for why no split choice can change.
 //!
 //! The trained tree is stored **flat**: a structure-of-arrays in preorder,
 //! with the left child of node `i` implicitly at `i + 1` and the right child
@@ -94,35 +97,10 @@ impl DecisionTree {
     pub fn train(dataset: &Dataset, params: &TreeParams) -> DecisionTree {
         assert!(!dataset.is_empty(), "cannot train on an empty dataset");
         let mut span = wisedb_obs::span("learn.fit_tree");
-        let n = dataset.len();
-        let num_features = dataset.schema.num_features();
-        let mut indices: Vec<usize> = (0..n).collect();
-        let orders: Vec<Vec<u32>> = (0..num_features)
-            .map(|f| {
-                let mut order: Vec<u32> = (0..n as u32).collect();
-                order.sort_unstable_by(|&a, &b| {
-                    dataset.rows[a as usize][f].total_cmp(&dataset.rows[b as usize][f])
-                });
-                order
-            })
-            .collect();
-        let mut builder = Builder {
-            dataset,
-            params,
-            tree: DecisionTree {
-                feature: Vec::new(),
-                threshold: Vec::new(),
-                right: Vec::new(),
-                samples: Vec::new(),
-                errors: Vec::new(),
-                num_features,
-                num_labels: dataset.schema.num_labels(),
-            },
-            orders,
-            in_left: vec![false; n],
-            scratch: vec![0u32; n],
-        };
-        builder.build(&mut indices, 0, 0);
+        let mut builder = Builder::new(dataset, params);
+        let counts = label_counts(&dataset.labels, dataset.schema.num_labels());
+        let features: Vec<u32> = (0..dataset.schema.num_features() as u32).collect();
+        builder.build(0, dataset.len(), counts, &features, 0);
         let tree = builder.tree;
         if span.recording() {
             span.attr_u64("rows", dataset.len() as u64);
@@ -426,100 +404,234 @@ fn flatten_legacy(node: &Value, tree: &mut DecisionTree) -> Result<(), serde::Er
 // Induction
 // ---------------------------------------------------------------------------
 
+/// Slack of the exact split comparisons: the gain floor, the split-info
+/// floor and the gain-ratio improvement test.
+const TIE_EPS: f64 = 1e-12;
+
+/// Margin δ of the split screen, in bits of gain.
+///
+/// `best_split` evaluates every candidate boundary first with the screen
+/// (`g_s`, `s_s` below) and runs the exact arithmetic (`g_e`, `s_e`: the
+/// `entropy`-based gain and split info — the only path that may change the
+/// chosen split) only when the screen cannot rule the candidate out. It is
+/// ruled out when `g_s + δ ≤ T·s_s` with `T = fl(best + TIE_EPS)`, or, with
+/// no incumbent yet, when `g_s + δ ≤ TIE_EPS`. Either test implies the
+/// exact path would reject the candidate, so trees are bit-identical to
+/// exact evaluation of every candidate:
+///
+/// Notation: `u = 2⁻⁵³`; a node has `n < 2³²` rows (row ids are `u32`)
+/// and `L ≤ SCREEN_MAX_LABELS = 2¹²` labels, so every entropy is at most
+/// `log₂L ≤ 12` bits and `log₂n < 32`. `H` is the node entropy as
+/// `entropy` computes it, shared by both paths; `g = H − (true
+/// conditional entropy)` and `s` is the true split info.
+///
+/// 1. *Exact path.* Each term `−p·log₂p` of `entropy` over `m ≤ L`
+///    nonzero counts is off by at most `4u·p·|log₂p| + 1.45u·p` (rounding
+///    `p`, a `log2` within one ulp, one product), and recursive summation
+///    adds `(m−1)u·log₂m`: a child entropy is within `(L+3)·12u + 2u`. The
+///    weights, products and subtractions add `72u`, so
+///    `|g_e − g| ≤ 49 300u < 5.5·10⁻¹²`. `s_e` is a two-term entropy:
+///    `|s_e − s| ≤ 10u`.
+/// 2. *Screen.* Per node, `c·log₂c` is put on a fixed-point grid of step
+///    `2⁻ᶠ ≤ 2⁻⁶⁰·n·log₂n` (the finest for which the entries fit `i64`
+///    sums); an entry is within `3.1u·c·log₂c` (`log2`, product) plus one
+///    step of the real value. The scan keeps `S = Σ c·log₂c` per side as
+///    an **exact** integer sum of entries, so nothing accumulates along
+///    the scan. The numerator of `g_s` combines at most `2L + 2` entries
+///    of total magnitude `≤ 2n·log₂n`; divided by `n`, the entries
+///    contribute `≤ 6.2u·32 + (2L+2)·32·2⁻⁶⁰ < 2.5·10⁻¹³`, the conversion
+///    to `f64`, the scale `k = 2⁻ᶠ/n` and the product `36u`, the
+///    subtraction from `H` `12u`: `|g_s − g| < 3·10⁻¹³`. Likewise
+///    `s_s = log₂n − (grid[n_l] + grid[n_r])·k` is within
+///    `64u + 200u + 96u + u < 5·10⁻¹⁴` of `s`.
+/// 3. *Smallest split info.* A binary split's information gain cannot
+///    exceed its split entropy, so a true gain ratio is at most 1. A
+///    computed one exceeds 1 by at most `1.2·10⁻¹¹/s_min`, where `s_min`,
+///    the split info of a one-row child (`min_leaf ≤ 1`) of a node of
+///    `n < 2³²` rows, is `≥ log₂n/n > 7.4·10⁻⁹`. So every incumbent, and
+///    `T`, stay below 1.002 (less than 2).
+/// 4. *The test.* Rounding `g_s + δ` and `T·s_s` costs `< 16u`. If the
+///    screen rules a candidate out, then `g_e ≤ g_s + 5.8·10⁻¹² ≤
+///    T·s_s − δ + 16u + 5.8·10⁻¹² ≤ T·s_e + (2·5·10⁻¹⁴ + 16u +
+///    5.8·10⁻¹² − δ) < T·s_e` for any `δ > 6·10⁻¹²`; where `s_e > TIE_EPS`
+///    (the exact path's own floor) that gives `fl(g_e/s_e) ≤ T`, which
+///    the exact path rejects. Without an incumbent,
+///    `g_e ≤ TIE_EPS − δ + 5.8·10⁻¹² < TIE_EPS` likewise.
+///
+/// `δ = 10⁻⁹` leaves a 160× cushion over the bound (say, for a `log2`
+/// further than one ulp off) and costs nothing measurable: candidates
+/// within δ of the incumbent are nearly all exact ties, which must reach
+/// the exact path anyway. Nodes with more than `SCREEN_MAX_LABELS` labels,
+/// outside the bound's premises, evaluate every candidate exactly.
+const SCREEN_MARGIN: f64 = 1e-9;
+
+/// The label count up to which [`SCREEN_MARGIN`] is proven sufficient.
+const SCREEN_MAX_LABELS: usize = 1 << 12;
+
+/// The induction workspace. Invariant: for every feature still *active*
+/// at a node (not constant over its rows), the node's rows occupy the same
+/// contiguous span `[lo, lo + len)` of that feature's `orders` and `ranks`
+/// columns, sorted by value — maintained by stably partitioning the span
+/// at every split, so `best_split` never sorts. A feature constant at a
+/// node stays constant below it, so its columns are neither scanned nor
+/// partitioned again. Split choice is unaffected by tie order among equal values
+/// (candidate boundaries sit between *distinct* values and the prefix
+/// label counts there are order-independent), so this evaluates the exact
+/// same candidates with the exact same arithmetic as a per-node sort.
 struct Builder<'a> {
     dataset: &'a Dataset,
     params: &'a TreeParams,
     tree: DecisionTree,
-    /// One permutation of all row indices per feature, sorted by that
-    /// feature's value. Invariant: every node's rows occupy a contiguous,
-    /// still-sorted span in each array — maintained by stably partitioning
-    /// the span at every split, so `best_split` never sorts. Split choice is
-    /// unaffected by tie order among equal values (candidate boundaries sit
-    /// between *distinct* values and the prefix label counts there are
-    /// order-independent), so this evaluates the exact same candidates with
-    /// the exact same arithmetic as a per-node sort.
+    /// Per feature: row ids, sorted by that feature within each span.
     orders: Vec<Vec<u32>>,
+    /// Per feature: `ranks[f][i]` is the dense rank of row `orders[f][i]`'s
+    /// value in the root's sort order, counting up wherever the next value
+    /// differs (`!=`, which along a `total_cmp` order is `!(next <=
+    /// value)`). Any two entries of a sorted span then have equal ranks iff
+    /// the reference scan's `next <= value` holds between them (±0 share a
+    /// rank, every NaN gets its own), at half the bytes of the values.
+    ranks: Vec<Vec<u32>>,
+    /// `c·log₂c` for `c = 0..=rows`.
+    xlogx: Vec<f64>,
+    /// Scratch: the current node's fixed-point `xlogx` (see
+    /// [`SCREEN_MARGIN`]).
+    grid: Vec<i64>,
     /// Scratch: `in_left[row]` during a split's partition step, else false.
     in_left: Vec<bool>,
-    /// Scratch for the stable partition (holds a span's right-side rows).
-    scratch: Vec<u32>,
+    /// Scratch for the stable partition (a span's right-side entries).
+    spill_rows: Vec<u32>,
+    spill_ranks: Vec<u32>,
+    /// Candidates that reached the exact path.
+    #[cfg(test)]
+    exact_evals: usize,
 }
 
 struct SplitChoice {
     feature: usize,
     threshold: f64,
-    gain_ratio: f64,
 }
 
-impl Builder<'_> {
-    fn label_counts(&self, idx: &[usize]) -> Vec<usize> {
-        let mut counts = vec![0usize; self.dataset.schema.num_labels()];
-        for &i in idx {
-            counts[self.dataset.labels[i]] += 1;
+impl<'a> Builder<'a> {
+    fn new(dataset: &'a Dataset, params: &'a TreeParams) -> Self {
+        let n = dataset.len();
+        let num_features = dataset.schema.num_features();
+        let num_labels = dataset.schema.num_labels();
+        let mut orders = Vec::with_capacity(num_features);
+        let mut ranks = Vec::with_capacity(num_features);
+        for f in 0..num_features {
+            let mut order: Vec<u32> = (0..n as u32).collect();
+            order.sort_unstable_by(|&a, &b| {
+                dataset.rows[a as usize][f].total_cmp(&dataset.rows[b as usize][f])
+            });
+            let mut col = Vec::with_capacity(n);
+            let mut rank = 0u32;
+            let mut prev = f64::NAN;
+            for &r in &order {
+                let v = dataset.rows[r as usize][f];
+                rank += u32::from(!col.is_empty() && v != prev);
+                col.push(rank);
+                prev = v;
+            }
+            ranks.push(col);
+            orders.push(order);
         }
-        counts
+        Builder {
+            dataset,
+            params,
+            tree: DecisionTree {
+                feature: Vec::new(),
+                threshold: Vec::new(),
+                right: Vec::new(),
+                samples: Vec::new(),
+                errors: Vec::new(),
+                num_features,
+                num_labels,
+            },
+            orders,
+            ranks,
+            xlogx: (0..=n)
+                .map(|c| {
+                    if c < 2 {
+                        0.0
+                    } else {
+                        c as f64 * (c as f64).log2()
+                    }
+                })
+                .collect(),
+            grid: vec![0; n + 1],
+            in_left: vec![false; n],
+            spill_rows: vec![0; n],
+            spill_ranks: vec![0; n],
+            #[cfg(test)]
+            exact_evals: 0,
+        }
     }
 
-    /// Appends the subtree for `idx` (the span `[lo, lo + idx.len())` of
-    /// every feature order) to the flat arrays and returns its pessimistic
-    /// error estimate (per-leaf observed errors plus the confidence
-    /// correction, summed bottom-up in tree order — the same quantity the
-    /// recursive builder recomputed by walking each subtree).
-    fn build(&mut self, idx: &mut [usize], lo: usize, depth: usize) -> f64 {
-        let counts = self.label_counts(idx);
+    /// Appends the subtree for the node occupying span `[lo, lo + len)`
+    /// (label histogram `counts`; `active` lists, ascending, the features
+    /// not yet known to be constant there) to the flat arrays and returns
+    /// its pessimistic error estimate (per-leaf observed errors plus the
+    /// confidence correction, summed bottom-up in tree order — the same
+    /// quantity the recursive builder recomputed by walking each subtree).
+    fn build(
+        &mut self,
+        lo: usize,
+        len: usize,
+        counts: Vec<usize>,
+        active: &[u32],
+        depth: usize,
+    ) -> f64 {
         let (majority, majority_count) = argmax(&counts);
-        let errors = idx.len() - majority_count;
-        let leaf_errs =
-            errors as f64 + add_errs(idx.len() as f64, errors as f64, self.params.confidence);
+        let errors = len - majority_count;
+        let leaf_errs = errors as f64 + add_errs(len as f64, errors as f64, self.params.confidence);
         let at = self.tree.feature.len();
-        if errors == 0 || idx.len() < self.params.min_split || depth >= self.params.max_depth {
-            self.tree.push_leaf(majority, idx.len(), errors);
+        if errors == 0 || len < self.params.min_split || depth >= self.params.max_depth {
+            self.tree.push_leaf(majority, len, errors);
             return leaf_errs;
         }
-        let Some(split) = self.best_split(lo, idx.len(), &counts) else {
-            self.tree.push_leaf(majority, idx.len(), errors);
+        // A sorted span is constant iff its ends share a rank.
+        let active: Vec<u32> = active
+            .iter()
+            .copied()
+            .filter(|&f| {
+                let r = &self.ranks[f as usize];
+                r[lo] != r[lo + len - 1]
+            })
+            .collect();
+        let Some(split) = self.best_split(lo, len, &counts, &active) else {
+            self.tree.push_leaf(majority, len, errors);
             return leaf_errs;
         };
-        // Partition indices in place: left = `< threshold`.
+        // Left = `value < threshold`, the test `predict` applies. (That is
+        // the scanned prefix of the split feature's span unless the
+        // boundary involves a NaN, which compares false either way.)
         let mut mid = 0;
-        for i in 0..idx.len() {
-            if self.dataset.rows[idx[i]][split.feature] < split.threshold {
-                idx.swap(i, mid);
+        let mut left_counts = vec![0usize; counts.len()];
+        for &row in &self.orders[split.feature][lo..lo + len] {
+            let row = row as usize;
+            if self.dataset.rows[row][split.feature] < split.threshold {
+                self.in_left[row] = true;
+                left_counts[self.dataset.labels[row]] += 1;
                 mid += 1;
             }
         }
-        debug_assert!(mid > 0 && mid < idx.len());
-        // Stably partition this node's span of every feature order, so both
-        // children keep the contiguous-and-sorted invariant.
-        for &r in &idx[..mid] {
-            self.in_left[r] = true;
+        let right_counts = counts
+            .iter()
+            .zip(&left_counts)
+            .map(|(c, l)| c - l)
+            .collect();
+        for &f in &active {
+            self.partition(f as usize, lo, len);
         }
-        let n = idx.len();
-        for order in &mut self.orders {
-            let span = &mut order[lo..lo + n];
-            let mut keep = 0usize;
-            let mut spill = 0usize;
-            for i in 0..n {
-                let r = span[i];
-                if self.in_left[r as usize] {
-                    span[keep] = r;
-                    keep += 1;
-                } else {
-                    self.scratch[spill] = r;
-                    spill += 1;
-                }
-            }
-            span[keep..].copy_from_slice(&self.scratch[..spill]);
+        // The split feature is active, so its span now starts with the
+        // left rows.
+        for &row in &self.orders[split.feature][lo..lo + mid] {
+            self.in_left[row as usize] = false;
         }
-        for &r in &idx[..mid] {
-            self.in_left[r] = false;
-        }
-        self.tree
-            .push_split(split.feature, split.threshold, idx.len());
-        let (left_idx, right_idx) = idx.split_at_mut(mid);
-        let left_errs = self.build(left_idx, lo, depth + 1);
+        self.tree.push_split(split.feature, split.threshold, len);
+        let left_errs = self.build(lo, mid, left_counts, &active, depth + 1);
         let right_at = self.tree.feature.len();
-        let right_errs = self.build(right_idx, lo + mid, depth + 1);
+        let right_errs = self.build(lo + mid, len - mid, right_counts, &active, depth + 1);
         self.tree.right[at] = right_at as u32;
         let subtree_errs = left_errs + right_errs;
         if self.params.prune {
@@ -528,76 +640,153 @@ impl Builder<'_> {
             // truncation.
             if leaf_errs <= subtree_errs + 0.1 {
                 self.tree.truncate(at);
-                self.tree.push_leaf(majority, idx.len(), errors);
+                self.tree.push_leaf(majority, len, errors);
                 return leaf_errs;
             }
         }
         subtree_errs
     }
 
-    /// Finds the best gain-ratio split over the node occupying span
-    /// `[lo, lo + len)` of the presorted feature orders.
-    fn best_split(&self, lo: usize, len: usize, counts: &[usize]) -> Option<SplitChoice> {
-        let n = len as f64;
-        let base_entropy = entropy(counts, len);
-        let mut best: Option<SplitChoice> = None;
+    /// Stably partitions feature `f`'s span `[lo, lo + len)` — rows and
+    /// ranks alike — into its `in_left` rows, then the rest.
+    fn partition(&mut self, f: usize, lo: usize, len: usize) {
+        let rows = &mut self.orders[f][lo..lo + len];
+        let ranks = &mut self.ranks[f][lo..lo + len];
+        let mut keep = 0usize;
+        let mut spill = 0usize;
+        for i in 0..len {
+            let r = rows[i];
+            if self.in_left[r as usize] {
+                rows[keep] = r;
+                ranks[keep] = ranks[i];
+                keep += 1;
+            } else {
+                self.spill_rows[spill] = r;
+                self.spill_ranks[spill] = ranks[i];
+                spill += 1;
+            }
+        }
+        rows[keep..].copy_from_slice(&self.spill_rows[..spill]);
+        ranks[keep..].copy_from_slice(&self.spill_ranks[..spill]);
+    }
 
-        let num_features = self.dataset.schema.num_features();
+    /// Finds the best gain-ratio split of the node occupying span
+    /// `[lo, lo + len)` over its `active` features (ascending): every
+    /// candidate boundary is screened in O(1) and only those the screen
+    /// cannot rule out are evaluated exactly — see [`SCREEN_MARGIN`].
+    fn best_split(
+        &mut self,
+        lo: usize,
+        len: usize,
+        counts: &[usize],
+        active: &[u32],
+    ) -> Option<SplitChoice> {
+        let n = len as f64;
+        // The node's grid: the largest power-of-two scale with
+        // `n·log₂n·scale ≤ 2⁶¹`, so two entries sum without overflow.
+        let top = n * n.max(2.0).log2();
+        let scale = 2f64.powi(61 - top.log2().ceil() as i32);
+        for (g, &x) in self.grid[..=len].iter_mut().zip(&self.xlogx) {
+            *g = (x * scale) as i64;
+        }
+        let grid = &self.grid;
+        let k = 1.0 / scale / n;
+        let base_entropy = entropy(counts, len);
+        let log2_n = n.log2();
+        let node_s: i64 = counts.iter().map(|&c| grid[c]).sum();
+        let min_leaf = self.params.min_leaf;
+        // Past `SCREEN_MAX_LABELS` the bound's premises fail: an infinite
+        // margin sends every candidate to the exact path.
+        let margin = if counts.len() <= SCREEN_MAX_LABELS {
+            SCREEN_MARGIN
+        } else {
+            f64::INFINITY
+        };
+        let mut best: Option<SplitChoice> = None;
+        // `fl(best gain ratio + TIE_EPS)`: what an exact candidate must
+        // beat. Unused until there is an incumbent.
+        let mut bar = f64::INFINITY;
+
+        let labels = &self.dataset.labels;
         let mut left_counts = vec![0usize; counts.len()];
         let mut right_counts = vec![0usize; counts.len()];
-        for feature in 0..num_features {
-            let order = &self.orders[feature][lo..lo + len];
+        for &feature in active {
+            let feature = feature as usize;
+            let rows = &self.orders[feature][lo..lo + len];
+            let ranks = &self.ranks[feature][lo..lo + len];
             left_counts.iter_mut().for_each(|c| *c = 0);
             right_counts.copy_from_slice(counts);
-            let mut left_n = 0usize;
-            for w in 0..order.len() - 1 {
-                let row = order[w] as usize;
-                let label = self.dataset.labels[row];
-                left_counts[label] += 1;
-                right_counts[label] -= 1;
-                left_n += 1;
-                let v = self.dataset.rows[row][feature];
-                let v_next = self.dataset.rows[order[w + 1] as usize][feature];
-                if v_next <= v {
+            // Σ grid[count] over each side's labels.
+            let mut left_s = 0i64;
+            let mut right_s = node_s;
+            for w in 0..len - 1 {
+                let label = labels[rows[w] as usize];
+                let c = left_counts[label];
+                left_s += grid[c + 1] - grid[c];
+                left_counts[label] = c + 1;
+                let c = right_counts[label];
+                right_s -= grid[c] - grid[c - 1];
+                right_counts[label] = c - 1;
+                if ranks[w + 1] == ranks[w] {
                     continue; // not a boundary between distinct values
                 }
+                let left_n = w + 1;
                 let right_n = len - left_n;
-                if left_n < self.params.min_leaf || right_n < self.params.min_leaf {
+                if left_n < min_leaf || right_n < min_leaf {
                     continue;
+                }
+                // Screen. n × conditional entropy = Σ_side (n_side·log₂n_side − S_side).
+                let cond = (grid[left_n] - left_s) + (grid[right_n] - right_s);
+                let gain_s = base_entropy - cond as f64 * k;
+                let ruled_out = if best.is_some() {
+                    let split_info_s = log2_n - (grid[left_n] + grid[right_n]) as f64 * k;
+                    gain_s + margin <= bar * split_info_s
+                } else {
+                    gain_s + margin <= TIE_EPS
+                };
+                if ruled_out {
+                    continue;
+                }
+                #[cfg(test)]
+                {
+                    self.exact_evals += 1;
                 }
                 let h_left = entropy(&left_counts, left_n);
                 let h_right = entropy(&right_counts, right_n);
                 let gain =
                     base_entropy - (left_n as f64 / n) * h_left - (right_n as f64 / n) * h_right;
-                if gain <= 1e-12 {
+                if gain <= TIE_EPS {
                     continue;
                 }
                 let pl = left_n as f64 / n;
                 let pr = right_n as f64 / n;
                 let split_info = -(pl * pl.log2() + pr * pr.log2());
-                if split_info <= 1e-12 {
+                if split_info <= TIE_EPS {
                     continue;
                 }
                 let gain_ratio = gain / split_info;
-                let better = match &best {
-                    None => true,
-                    Some(b) => {
-                        gain_ratio > b.gain_ratio + 1e-12
-                            || (gain_ratio > b.gain_ratio - 1e-12 && feature < b.feature)
-                    }
-                };
-                if better {
-                    let threshold = midpoint(v, v_next);
+                // Features are scanned in ascending order, so a near-tie
+                // never favours the current (later) feature.
+                if best.is_none() || gain_ratio > bar {
+                    bar = gain_ratio + TIE_EPS;
+                    let value = |i: usize| self.dataset.rows[rows[i] as usize][feature];
                     best = Some(SplitChoice {
                         feature,
-                        threshold,
-                        gain_ratio,
+                        threshold: midpoint(value(w), value(w + 1)),
                     });
                 }
             }
         }
         best
     }
+}
+
+fn label_counts(labels: &[usize], num_labels: usize) -> Vec<usize> {
+    let mut counts = vec![0usize; num_labels];
+    for &l in labels {
+        counts[l] += 1;
+    }
+    counts
 }
 
 fn argmax(counts: &[usize]) -> (usize, usize) {
@@ -715,6 +904,9 @@ fn normal_inverse(p: f64) -> f64 {
             / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {

@@ -79,13 +79,13 @@ impl AdaptiveSearcher {
     ) -> CoreResult<OptimalSchedule> {
         let reuse = goal.is_monotone();
         let searcher = Solver::new(spec, goal).with_config(config);
-        let searcher = if reuse {
-            searcher.with_memo(&self.memo)
-        } else {
-            searcher
-        };
-        let (result, explored) = searcher.solve_with_explored(workload)?;
-        if reuse && result.stats.optimal {
+        if !reuse {
+            return searcher.solve(workload);
+        }
+        let (result, explored) = searcher
+            .with_memo(&self.memo)
+            .solve_with_explored(workload)?;
+        if result.stats.optimal {
             let goal_cost = result.cost.as_dollars();
             for (key, g) in explored {
                 let h = goal_cost - g;

@@ -9,6 +9,7 @@
 use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::time::Instant;
 
 use wisedb_core::{Money, PerformanceGoal, WorkloadSpec};
@@ -308,12 +309,93 @@ pub(crate) fn generate_successors(
     out
 }
 
+/// The Fx multiply-rotate hash (as in `rustc-hash`), for maps keyed by
+/// [`StateKey`]s: one multiply per word instead of SipHash's rounds.
+///
+/// It is not resistant to chosen-key collisions, and needs not be: every
+/// `StateKey` is derived inside the program from search states (template
+/// counts, the open VM's type/wait/tail, the penalty digest), never from
+/// raw client bytes. It cannot change any result either: the interner
+/// hands out ids in first-seen order and the memo is only looked up, so
+/// neither map is ever iterated.
+#[derive(Default, Clone, Copy)]
+pub(crate) struct FxHasher {
+    hash: u64,
+}
+
+/// The multiplier of `rustc-hash`'s Fx hash.
+const FX_SEED: u64 = 0xf135_7aea_2e62_a9c5;
+
+impl FxHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.hash = self.hash.wrapping_add(word).wrapping_mul(FX_SEED);
+    }
+}
+
+impl Hasher for FxHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            self.add(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
+        }
+        let rest = chunks.remainder();
+        if !rest.is_empty() {
+            let mut word = [0u8; 8];
+            word[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(word) ^ ((rest.len() as u64) << 59));
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, i: u8) {
+        self.add(i as u64);
+    }
+
+    #[inline]
+    fn write_u16(&mut self, i: u16) {
+        self.add(i as u64);
+    }
+
+    #[inline]
+    fn write_u32(&mut self, i: u32) {
+        self.add(i as u64);
+    }
+
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    #[inline]
+    fn write_u128(&mut self, i: u128) {
+        self.add(i as u64);
+        self.add((i >> 64) as u64);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    /// The multiply leaves its best-mixed bits at the top, while the hash
+    /// table indexes buckets by the low bits: rotate them down.
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.hash.rotate_left(26)
+    }
+}
+
+/// Builds [`FxHasher`]s for `StateKey`-keyed maps.
+pub(crate) type FxBuildHasher = BuildHasherDefault<FxHasher>;
+
 /// Dense state-id interner: each distinct [`StateKey`] gets a `u32` on
 /// first sight. Keys are Arc-backed, so storing them twice (map + by-id
 /// vector) costs reference bumps, not vector copies.
 #[derive(Default)]
 pub(crate) struct Interner {
-    ids: HashMap<StateKey, u32>,
+    ids: HashMap<StateKey, u32, FxBuildHasher>,
     pub(crate) keys: Vec<StateKey>,
 }
 

@@ -351,7 +351,8 @@ pub struct Plan {
 /// remembers the combined value for every regeneration).
 #[derive(Debug, Clone, Default)]
 pub struct HeuristicMemo {
-    values: HashMap<StateKey, f64>,
+    /// Fx-hashed: see [`common::FxHasher`] for why that is safe here.
+    values: HashMap<StateKey, f64, common::FxBuildHasher>,
 }
 
 impl HeuristicMemo {
